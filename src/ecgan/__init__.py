@@ -2,7 +2,7 @@
 
 A small, numpy-backed lab: a reverse-mode autodiff core, DCGAN-style
 generator/discriminator and a compact residual classifier built on it,
-Adam with decoupled-by-policy L2, dataset plumbing (IDX, image folders,
+Adam with coupled L2 weight decay, dataset plumbing (IDX, image folders,
 a synthetic shapes benchmark), and a training harness that runs the
 supplemented-classifier method, a shared-discriminator baseline, and a
 class-conditional variant from JSON experiment configs.

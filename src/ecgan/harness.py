@@ -20,9 +20,9 @@ from . import pgm
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config
 from .data import denormalize, load_idx, load_image_dir, subsample, synth_shapes
-from .errors import ContractError, DataError, TrainingDiverged
-from .networks import LATENT_DIM, balanced_labels, conditional_latent, latent
-from .tensor import Rng, Tensor, no_grad
+from .errors import ContractError, DataError
+from .networks import balanced_labels, conditional_latent, latent
+from .tensor import Rng, no_grad
 from .training import evaluate, train
 
 METRIC_FIELDS = [

@@ -128,6 +128,15 @@ def test_conv_transpose_is_adjoint_of_conv(rng, stride, pad, hin, k):
     assert rel_err(lhs, rhs) < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+def test_pad2d_equals_np_pad(rng, pad, dtype):
+    x = rng.normal(size=(2, 3, 5, 4)).astype(dtype)
+    got = T._pad2d(x, pad)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))))
+
+
 def test_conv_transpose_output_shape_formula():
     for h, k, s, p in [(4, 4, 2, 1), (8, 4, 2, 1), (5, 3, 1, 1), (4, 4, 4, 0)]:
         x = t(np.zeros((1, 2, h, h)), grad=False)
@@ -202,6 +211,25 @@ def test_batchnorm_running_stats_ema(rng):
     var = x.var(axis=(0, 2, 3)) * count / (count - 1)
     assert np.allclose(rmean.data, 0.9 * 0.0 + 0.1 * mu, atol=1e-12)
     assert np.allclose(rvar.data, 0.9 * 1.0 + 0.1 * var, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(8, 4, 5, 5), (1, 3, 4, 7), (1, 2, 1, 1), (3, 1, 2, 9)])
+def test_batchnorm_train_stats_equal_numpy(rng, shape, dtype):
+    x = rng.normal(loc=2.0, scale=3.0, size=shape).astype(dtype)
+    c = shape[1]
+    count = shape[0] * shape[2] * shape[3]
+    rmean, rvar = T.Tensor(np.zeros(c, dtype)), T.Tensor(np.ones(c, dtype))
+    one = T.Tensor(np.ones(c, dtype))
+    zero = T.Tensor(np.zeros(c, dtype))
+    out = T.batchnorm2d(T.Tensor(x), one, zero, rmean, rvar, training=True, momentum=1.0).data
+    mu = x.mean(axis=(0, 2, 3))
+    var = np.var(x, axis=(0, 2, 3))
+    np.testing.assert_array_equal(rmean.data, mu)
+    np.testing.assert_array_equal(rvar.data, var * (count / (count - 1)) if count > 1 else var)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, (x - mu[None, :, None, None]) * inv[None, :, None, None])
 
 
 def test_batchnorm_update_flag_freezes_stats(rng):

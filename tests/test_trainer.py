@@ -1,6 +1,8 @@
 """Training-step semantics: pseudo-labels, loss identities, isolation."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -418,19 +420,88 @@ def test_train_rejects_unknown_variant():
 # -- evaluate ---------------------------------------------------------------------
 
 
-def test_evaluate_matches_per_sample_loop():
-    ds = tiny_dataset(12, seed=25)  # 36 images
-    _, _, cls = make_nets(seed=25)
+def _warm_classifier(ds, seed):
+    _, _, cls = make_nets(seed=seed)
     with no_grad():  # move running stats off init so eval mode is non-trivial
         cls.forward(Tensor(D.normalize(ds.images[:16])))
-    acc = evaluate(cls, ds, batch_size=7)
+    return cls
+
+
+def _per_sample_accuracy(cls, ds):
     cls.eval()
     correct = 0
     with no_grad():
         for i in range(len(ds)):
             logits = cls.class_logits(Tensor(D.normalize(ds.images[i : i + 1])))
             correct += int(logits.data.argmax(axis=1)[0] == ds.labels[i])
-    assert acc == correct / len(ds)
+    return correct / len(ds)
+
+
+def test_evaluate_matches_per_sample_loop():
+    ds = tiny_dataset(12, seed=25)  # 36 images
+    cls = _warm_classifier(ds, seed=25)
+    assert evaluate(cls, ds, batch_size=7) == _per_sample_accuracy(cls, ds)
+    for n in (1, 15, 16, 17, 33):  # around the default 16-image chunk
+        sub = Dataset(ds.images[:n], ds.labels[:n], ds.num_classes)
+        assert evaluate(cls, sub) == _per_sample_accuracy(cls, sub), n
+
+
+def test_evaluate_single_core_skips_executor(monkeypatch):
+    ds = tiny_dataset(12, seed=28)
+    cls = _warm_classifier(ds, seed=28)
+    want = evaluate(cls, ds)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool started with one usable core")
+
+    monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(TR, "ThreadPoolExecutor", no_pool)
+    assert evaluate(cls, ds) == want
+
+
+def test_evaluate_more_workers_than_cores(monkeypatch):
+    ds = tiny_dataset(45, seed=29)  # 135 images: 9 chunks over 8 workers
+    cls = _warm_classifier(ds, seed=29)
+    want = _per_sample_accuracy(cls, ds)
+    cls.mode = "train"
+    stats = {n: p.data.copy() for n, p in cls.parameters() if "running" in n}
+    threads = threading.active_count()
+    monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        accs = [evaluate(cls, ds, batch_size=b) for b in (16, 5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert accs == [want, want]
+    assert cls.mode == "train"
+    for n, p in cls.parameters():
+        if "running" in n:
+            np.testing.assert_array_equal(p.data, stats[n], err_msg=n)
+    assert threading.active_count() == threads
+
+
+class ChunkFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("in_worker", [False, True])
+def test_evaluate_chunk_exception_propagates(monkeypatch, in_worker):
+    ds = tiny_dataset(12, seed=30)
+    cls = _warm_classifier(ds, seed=30)
+    class_logits = cls.class_logits
+
+    def failing(x, **kwargs):
+        if (threading.current_thread() is not threading.main_thread()) == in_worker:
+            raise ChunkFailure("chunk failed")
+        return class_logits(x, **kwargs)
+
+    monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cls, "class_logits", failing)
+    cls.mode = "train"
+    with pytest.raises(ChunkFailure):
+        evaluate(cls, ds)
+    assert cls.mode == "train"
 
 
 def test_evaluate_restores_mode_and_stats():
