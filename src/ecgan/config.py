@@ -140,9 +140,8 @@ class ExperimentConfig:
             if not isinstance(s, int) or isinstance(s, bool):
                 raise ConfigError(f"seeds entries must be integers, got {s!r}")
 
-    def hyper(self, seed, lam=None, percent=None, augment=None, decay=None):
+    def hyper(self, seed, lam=None, augment=None, decay=None):
         """Materialize HyperParams for one run cell."""
-        del percent  # subsampling happens before train(); kept for call-site clarity
         hp_kwargs = dict(self.hyperparams)
         if "lambda" in hp_kwargs:
             hp_kwargs["lam"] = hp_kwargs.pop("lambda")
@@ -152,7 +151,6 @@ class ExperimentConfig:
         decay_on = self.decay if decay is None else decay
         hp = HyperParams(
             seed=seed,
-            variant=self.variant,
             augment=AugmentPolicy(enabled=True) if aug_on else None,
             **hp_kwargs,
         )
@@ -162,22 +160,11 @@ class ExperimentConfig:
 
     def resolved(self):
         """Fully-explicit config document (valid input for another run)."""
-        hp = self.hyper(seed=self.seeds[0])
+        hp = self.hyper(seed=self.seeds[0], decay=True)
         return {
             "dataset": dict(self.dataset),
             "variant": self.variant,
-            "hyperparams": {
-                "lambda": hp.lam,
-                "threshold": hp.threshold,
-                "lr_g": hp.lr_g,
-                "lr_d": hp.lr_d,
-                "lr_c": hp.lr_c,
-                "weight_decay": dict(self.hyperparams).get("weight_decay", 1e-3),
-                "batch_size": hp.batch_size,
-                "epochs": hp.epochs,
-                "base_width": hp.base_width,
-                "depth": hp.depth,
-            },
+            "hyperparams": {key: getattr(hp, "lam" if key == "lambda" else key) for key in _HP_KEYS},
             "dataset_percent": list(self.dataset_percent),
             "lambdas": list(self.lambdas),
             "augment": self.augment,

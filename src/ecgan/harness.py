@@ -101,7 +101,6 @@ def run_cell(cfg, train_ds, test_ds, variant, percent, lam, seed,
     """Train one (variant, percent, lambda, seed) cell; returns TrainResult."""
     cell_ds = subsample(train_ds, percent, seed) if percent < 100 else train_ds
     hp = cfg.hyper(seed=seed, lam=lam, augment=augment, decay=decay)
-    hp.variant = variant
     cell = {
         "run_id": run_id(variant, percent, lam, seed),
         "variant": variant, "percent": percent, "lambda": lam, "seed": seed,

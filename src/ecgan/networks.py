@@ -231,6 +231,30 @@ DCGAN_STD = 0.02
 BN_GAMMA_STD = 0.02
 
 
+def _dcgan_trunk(net, prefix, extra_channels=0):
+    """The discriminator's stride-2 conv stack from the image down to 4x4,
+    as (conv, bn) pairs named `<prefix>.<i>.*`; the first has no batch norm.
+    `extra_channels` widen the second conv's input (the label plane).
+    Returns the pairs and the channel count of the 4x4 map."""
+    spec = net.spec
+    w = spec.base_width
+    blocks = [(_Conv(net, f"{prefix}.0.conv", spec.channels, w, 4, 2, 1, std=DCGAN_STD, bias=True), None)]
+    cin = w + extra_channels
+    for i in range(1, spec.n_halvings):
+        cout = w << i
+        conv = _Conv(net, f"{prefix}.{i}.conv", cin, cout, 4, 2, 1, std=DCGAN_STD, bias=False)
+        blocks.append((conv, _Bn(net, f"{prefix}.{i}.bn", cout, gamma_std=BN_GAMMA_STD)))
+        cin = cout
+    return blocks, cin
+
+
+def _trunk_forward(blocks, h, update_stats):
+    for conv, bn in blocks:
+        h = conv(h)
+        h = leaky_relu(h if bn is None else bn(h, update_stats))
+    return h
+
+
 class Generator(Network):
     """Latent [N,100] -> image [N,C,S,S] in [-1,1].
 
@@ -288,18 +312,7 @@ class Discriminator(Network):
     def __init__(self, spec, rng):
         super().__init__(spec)
         self._init_rng = rng
-        m = spec.n_halvings
-        w = spec.base_width
-        self.blocks = []
-        conv = _Conv(self, "blocks.0.conv", spec.channels, w, 4, 2, 1, std=DCGAN_STD, bias=True)
-        self.blocks.append((conv, None))
-        cin = w + (1 if spec.conditional else 0)
-        for i in range(1, m):
-            cout = w << i
-            conv = _Conv(self, f"blocks.{i}.conv", cin, cout, 4, 2, 1, std=DCGAN_STD, bias=False)
-            bn = _Bn(self, f"blocks.{i}.bn", cout, gamma_std=BN_GAMMA_STD)
-            self.blocks.append((conv, bn))
-            cin = cout
+        self.blocks, cin = _dcgan_trunk(self, "blocks", 1 if spec.conditional else 0)
         self.final = _Conv(self, "final", cin, 1, 4, 1, 0, std=DCGAN_STD, bias=True)
         del self._init_rng
 
@@ -308,8 +321,7 @@ class Discriminator(Network):
             raise ContractError("conditional discriminator requires labels")
         if not self.spec.conditional and labels is not None:
             raise ContractError("labels passed to an unconditional discriminator")
-        conv0, _ = self.blocks[0]
-        h = leaky_relu(conv0(x))
+        h = _trunk_forward(self.blocks[:1], x, update_stats)
         if self.spec.conditional:
             code = encode_class(labels, self.spec.num_classes)
             n, _, hh, ww = h.shape
@@ -319,9 +331,7 @@ class Discriminator(Network):
                 code.astype(h.data.dtype)[:, None, None, None], (n, 1, hh, ww)
             )
             h = concat_channels(h, Tensor(np.ascontiguousarray(plane)))
-        for conv, bn in self.blocks[1:]:
-            h = leaky_relu(bn(conv(h), update_stats))
-        out = self.final(h)
+        out = self.final(_trunk_forward(self.blocks[1:], h, update_stats))
         return sigmoid(reshape(out, (out.shape[0], 1)))
 
     __call__ = forward
@@ -407,33 +417,13 @@ class SharedDiscriminator(Network):
     def __init__(self, spec, rng):
         super().__init__(spec)
         self._init_rng = rng
-        m = spec.n_halvings
-        w = spec.base_width
-        self.blocks = []
-        conv = _Conv(self, "trunk.0.conv", spec.channels, w, 4, 2, 1, std=DCGAN_STD, bias=True)
-        self.blocks.append((conv, None))
-        cin = w
-        for i in range(1, m):
-            cout = w << i
-            conv = _Conv(self, f"trunk.{i}.conv", cin, cout, 4, 2, 1, std=DCGAN_STD, bias=False)
-            bn = _Bn(self, f"trunk.{i}.bn", cout, gamma_std=BN_GAMMA_STD)
-            self.blocks.append((conv, bn))
-            cin = cout
+        self.blocks, cin = _dcgan_trunk(self, "trunk")
         self.head_c = _Conv(self, "head_c", cin, spec.num_classes, 4, 1, 0, std=DCGAN_STD, bias=True)
         self.head_d = _Conv(self, "head_d", cin, 1, 4, 1, 0, std=DCGAN_STD, bias=True)
         del self._init_rng
 
-    def trunk_forward(self, x, update_stats=True):
-        h = None
-        for i, (conv, bn) in enumerate(self.blocks):
-            h = conv(x if i == 0 else h)
-            if bn is not None:
-                h = bn(h, update_stats)
-            h = leaky_relu(h)
-        return h
-
     def forward(self, x, update_stats=True):
-        h = self.trunk_forward(x, update_stats)
+        h = _trunk_forward(self.blocks, x, update_stats)
         logits = self.head_c(h)
         logits = reshape(logits, (logits.shape[0], self.spec.num_classes))
         prob = self.head_d(h)
@@ -454,41 +444,7 @@ class SharedDiscriminator(Network):
         return [n for n, _ in self._params.items() if n.startswith(prefix)]
 
 
-_BUILDERS = {}
-
-
-def build_generator(spec, rng):
-    if spec.role != "generator":
-        raise SpecError(f"build_generator got role {spec.role!r}")
-    return Generator(spec, rng)
-
-
-def build_discriminator(spec, rng):
-    if spec.role != "discriminator":
-        raise SpecError(f"build_discriminator got role {spec.role!r}")
-    return Discriminator(spec, rng)
-
-
-def build_classifier(spec, rng):
-    if spec.role != "classifier":
-        raise SpecError(f"build_classifier got role {spec.role!r}")
-    return Classifier(spec, rng)
-
-
-def build_shared_discriminator(spec, rng):
-    if spec.role != "shared_discriminator":
-        raise SpecError(f"build_shared_discriminator got role {spec.role!r}")
-    return SharedDiscriminator(spec, rng)
-
-
-_BUILDERS.update(
-    generator=build_generator,
-    discriminator=build_discriminator,
-    classifier=build_classifier,
-    shared_discriminator=build_shared_discriminator,
-)
-
-
 def build_network(spec, rng):
     """Dispatch on spec.role."""
-    return _BUILDERS[spec.role](spec, rng)
+    classes = (Generator, Discriminator, Classifier, SharedDiscriminator)
+    return {cls.role: cls for cls in classes}[spec.role](spec, rng)

@@ -7,12 +7,12 @@ numpy ndarrays (row-major); scalars default to 32-bit floats, with a
 64-bit switch used by the gradient-check oracles.
 
 Graphs are recorded implicitly: every op whose inputs require gradients
-attaches a `Node` to its output, and `backward(loss)` traces the `Tape`
-(topologically ordered node list) from the loss and sweeps it once in
-reverse. Gradients accumulate additively into `Tensor.grad` until the
-owner zeroes them.
+attaches a `Node` to its output, and `backward(loss)` orders the nodes
+below the loss topologically and sweeps them once in reverse; gradients
+left over at the end belong to leaves. Gradients accumulate additively
+into `Tensor.grad` until the owner zeroes them.
 
-Tensors and tapes are confined to a single execution context; nothing in
+Tensors and graphs are confined to a single execution context; nothing in
 here is safe to share across concurrent training runs. The one exception
 is forward passes under `no_grad` that leave running statistics alone:
 they only read shared tensors, so threads may run them on one network at
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .errors import ContractError, InvalidLabelError, ShapeError
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
-_NODE_IDS = itertools.count()
 
 # Probability clamp for binary cross-entropy on raw probabilities.
 BCE_EPS = 1e-7
@@ -116,14 +114,13 @@ class Node:
     ``backward_fn(grad_out)`` returns one gradient array (or None) per input.
     """
 
-    __slots__ = ("op", "inputs", "backward_fn", "out", "id")
+    __slots__ = ("op", "inputs", "backward_fn", "out")
 
     def __init__(self, op, inputs, backward_fn, out):
         self.op = op
         self.inputs = inputs
         self.backward_fn = backward_fn
         self.out = out
-        self.id = next(_NODE_IDS)
 
 
 class Tensor:
@@ -155,10 +152,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def tape_id(self):
-        return self.node.id if self.node is not None else None
 
     def item(self):
         return float(self.data.item())
@@ -198,33 +191,26 @@ def _attach(out, op, inputs, backward_fn):
     return out
 
 
-class Tape:
-    """Topologically ordered record of the nodes reaching one tensor."""
-
-    def __init__(self, nodes):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root):
-        """Collect nodes below ``root`` so that inputs precede consumers."""
-        nodes = []
-        seen = set()
-        if root.node is None:
-            return cls(nodes)
-        stack = [(root.node, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                nodes.append(node)
-                continue
-            if node.id in seen:
-                continue
-            seen.add(node.id)
-            stack.append((node, True))
-            for t in node.inputs:
-                if t.node is not None and t.node.id not in seen:
-                    stack.append((t.node, False))
-        return cls(nodes)
+def _topological_order(root):
+    """Nodes below ``root``, each after the nodes of its inputs."""
+    nodes = []
+    if root.node is None:
+        return nodes
+    seen = set()
+    stack = [(root.node, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            nodes.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        for t in node.inputs:
+            if t.node is not None and t.node not in seen:
+                stack.append((t.node, False))
+    return nodes
 
 
 def backward(loss):
@@ -235,42 +221,26 @@ def backward(loss):
     """
     if loss.data.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {tuple(loss.shape)}")
-    flow = {}  # id(tensor) -> gradient for this call
-    flow[id(loss)] = np.ones_like(loss.data)
-    tape = Tape.trace(loss)
-    for node in reversed(tape.nodes):
-        g_out = flow.pop(id(node.out), None)
-        if g_out is None:
+    flow = {id(loss): (loss, np.ones_like(loss.data))}  # id(tensor) -> (tensor, gradient)
+    for node in reversed(_topological_order(loss)):
+        entry = flow.pop(id(node.out), None)
+        if entry is None:
             continue
+        g_out = entry[1]
         if node.out.requires_grad:
             _accumulate(node.out, g_out)
-        grads = node.backward_fn(g_out)
-        for t, g in zip(node.inputs, grads):
+        for t, g in zip(node.inputs, node.backward_fn(g_out)):
             if g is None:
                 continue
             key = id(t)
             if key in flow:
-                flow[key] = flow[key] + g
+                flow[key] = (t, flow[key][1] + g)
             else:
-                flow[key] = g
-    # whatever is left in flow belongs to leaves
-    for node_less in _leaves(tape, loss):
-        g = flow.get(id(node_less))
-        if g is not None and node_less.requires_grad:
-            _accumulate(node_less, g)
-
-
-def _leaves(tape, loss):
-    seen = set()
-    out = []
-    for node in tape.nodes:
-        for t in node.inputs:
-            if t.node is None and id(t) not in seen:
-                seen.add(id(t))
-                out.append(t)
-    if loss.node is None:
-        out.append(loss)
-    return out
+                flow[key] = (t, g)
+    # every node output has been popped: what is left belongs to leaves
+    for t, g in flow.values():
+        if t.requires_grad:
+            _accumulate(t, g)
 
 
 def _accumulate(t, g):

@@ -18,20 +18,17 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import AugmentPolicy, batches
 from .errors import ContractError, SpecError, TrainingDiverged
 from .networks import (
-    LATENT_DIM,
     NetworkSpec,
     balanced_labels,
-    build_classifier,
-    build_discriminator,
-    build_generator,
-    build_shared_discriminator,
+    build_network,
     conditional_latent,
     latent,
 )
@@ -48,8 +45,6 @@ from .tensor import (
     softmax,
     take_rows,
 )
-
-VARIANTS = ("ecgan", "shared", "baseline", "ecgan_conditional")
 
 GAN_BETAS = (0.5, 0.999)
 CLS_BETAS = (0.9, 0.999)
@@ -69,7 +64,6 @@ class HyperParams:
     batch_size: int = 4
     epochs: int = 10
     seed: int = 0
-    variant: str = "ecgan"
     base_width: int = 8
     depth: int = 1
     augment: AugmentPolicy | None = None
@@ -79,8 +73,6 @@ class HyperParams:
             raise SpecError(f"lambda must be >= 0, got {self.lam}")
         if not 0.0 <= self.threshold <= 1.0:
             raise SpecError(f"threshold must be in [0,1], got {self.threshold}")
-        if self.variant not in VARIANTS:
-            raise SpecError(f"unknown variant {self.variant!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise SpecError("batch_size and epochs must be >= 1")
 
@@ -106,8 +98,6 @@ class StepMetrics:
     loss_c_sup: float = 0.0
     loss_c_unsup: float = 0.0
     keep_rate: float = 0.0
-    step: int = 0
-    epoch: int = 0
 
 
 def pseudo_label(logits, threshold):
@@ -197,14 +187,14 @@ def classifier_step(c, g, batch, hp, opt_c, rng, step=0):
     combined backward updates C once. Generated images are detached from
     G, and their forward through C does not touch C's running stats, so
     lambda = 0 and an empty keep set both reproduce the supervised step
-    exactly. lambda = 0 skips generation entirely.
+    exactly. lambda = 0 or no generator (`g` None) skips generation entirely.
     """
     logits_real = c.forward(batch.images)
     sup = cross_entropy(logits_real, batch.labels)
     unsup_value = 0.0
     keep_rate = 0.0
     loss = sup
-    if hp.lam > 0:
+    if hp.lam > 0 and g is not None:
         n = batch.images.shape[0]
         lv = _draw_latent(n, c.spec.num_classes, g.spec.conditional, rng)
         with no_grad():
@@ -226,7 +216,7 @@ def classifier_step(c, g, batch, hp, opt_c, rng, step=0):
     return sup_value, unsup_value, keep_rate
 
 
-def shared_step(sd, g, batch, hp, opt_sd, opt_g, rng, step=0, epoch=0):
+def shared_step(sd, g, batch, hp, opt_sd, opt_g, rng, step=0):
     """Combined update of the two-headed discriminator, then a G step.
 
     The objective is lambda * (BCE(Dd(G(z)),0) + BCE(Dd(x),1)) +
@@ -277,8 +267,6 @@ def shared_step(sd, g, batch, hp, opt_sd, opt_g, rng, step=0, epoch=0):
         loss_c_sup=sup_value,
         loss_c_unsup=0.0,
         keep_rate=0.0,
-        step=step,
-        epoch=epoch,
     )
 
 
@@ -330,24 +318,70 @@ class TrainResult:
     history: list = field(default_factory=list)
 
 
-def _net_specs(variant, dataset, hp):
-    common = dict(
-        image_size=dataset.image_size,
-        channels=dataset.channels,
-        num_classes=dataset.num_classes,
-        base_width=hp.base_width,
+class _Net(NamedTuple):
+    """One network of a variant; its weights come from the `init/<key>` stream."""
+
+    key: str
+    role: str
+    lr: str  # the HyperParams field holding its learning rate
+    betas: tuple
+    conditional: bool = False
+
+
+def _ecgan_step(nets, opts, batch, hp, rng, step):
+    loss_d = discriminator_step(
+        nets["discriminator"], nets["generator"], batch.images,
+        opts["discriminator"], rng, step=step, labels=batch.labels,
     )
-    conditional = variant == "ecgan_conditional"
-    specs = {}
-    if variant in ("ecgan", "ecgan_conditional", "baseline"):
-        specs["classifier"] = NetworkSpec(role="classifier", depth=hp.depth, **common)
-    if variant in ("ecgan", "ecgan_conditional"):
-        specs["generator"] = NetworkSpec(role="generator", conditional=conditional, **common)
-        specs["discriminator"] = NetworkSpec(role="discriminator", conditional=conditional, **common)
-    if variant == "shared":
-        specs["shared"] = NetworkSpec(role="shared_discriminator", **common)
-        specs["generator"] = NetworkSpec(role="generator", **common)
-    return specs
+    loss_g = generator_step(
+        nets["generator"], nets["discriminator"], len(batch), opts["generator"], rng, step=step,
+    )
+    sup, unsup, keep = classifier_step(
+        nets["classifier"], nets["generator"], batch, hp, opts["classifier"], rng, step=step,
+    )
+    return StepMetrics(loss_d, loss_g, sup, unsup, keep)
+
+
+def _shared_variant_step(nets, opts, batch, hp, rng, step):
+    return shared_step(
+        nets["shared"], nets["generator"], batch, hp, opts["shared"], opts["generator"], rng, step=step,
+    )
+
+
+def _baseline_step(nets, opts, batch, hp, rng, step):
+    sup, _, _ = classifier_step(nets["classifier"], None, batch, hp, opts["classifier"], rng, step=step)
+    return StepMetrics(loss_c_sup=sup)
+
+
+# Per variant: the per-minibatch step and the networks it trains, in the
+# order of the networks/optimizers dicts (and so of the checkpoint records).
+# The table holds the private wrappers, never discriminator_step & co.:
+# those are looked up by name at call time, so rebinding one on the module
+# (as tracers and tests do) takes effect.
+_CLASSIFIER = _Net("classifier", "classifier", "lr_c", CLS_BETAS)
+_GENERATOR = _Net("generator", "generator", "lr_g", GAN_BETAS)
+_DISCRIMINATOR = _Net("discriminator", "discriminator", "lr_d", GAN_BETAS)
+_VARIANTS = {
+    "ecgan": (_ecgan_step, (_CLASSIFIER, _GENERATOR, _DISCRIMINATOR)),
+    "shared": (_shared_variant_step, (_GENERATOR, _Net("shared", "shared_discriminator", "lr_c", CLS_BETAS))),
+    "baseline": (_baseline_step, (_CLASSIFIER,)),
+    "ecgan_conditional": (_ecgan_step, (
+        _CLASSIFIER, _GENERATOR._replace(conditional=True), _DISCRIMINATOR._replace(conditional=True),
+    )),
+}
+VARIANTS = tuple(_VARIANTS)
+
+
+def _epoch_means(steps):
+    """Per-field means of an epoch's StepMetrics, summed left to right with
+    `+=`: from Python 3.12 `sum()` compensates float sums, which would move
+    the last digits of metrics.csv between Python versions."""
+    names = [f.name for f in fields(StepMetrics)]
+    sums = dict.fromkeys(names, 0.0)
+    for metrics in steps:
+        for name in names:
+            sums[name] += getattr(metrics, name)
+    return {name: sums[name] / len(steps) for name in names}
 
 
 def train(variant, dataset, hp, eval_dataset=None, on_epoch=None):
@@ -356,78 +390,40 @@ def train(variant, dataset, hp, eval_dataset=None, on_epoch=None):
     History rows carry epoch means of the step losses and keep rate plus
     train/test accuracy. `on_epoch`, when given, is called with each row.
     """
-    if variant not in VARIANTS:
+    if variant not in _VARIANTS:
         raise SpecError(f"unknown variant {variant!r}")
-    specs = _net_specs(variant, dataset, hp)
+    variant_step, variant_nets = _VARIANTS[variant]
     rng_data = Rng(hp.seed, "data")
     rng_latent = Rng(hp.seed, "latent")
 
     nets = {}
     opts = {}
-    if "classifier" in specs:
-        nets["classifier"] = build_classifier(specs["classifier"], Rng(hp.seed, "init/classifier"))
-        opts["classifier"] = Adam(nets["classifier"].trainable_parameters(), hp.lr_c, betas=CLS_BETAS)
-    if "generator" in specs:
-        nets["generator"] = build_generator(specs["generator"], Rng(hp.seed, "init/generator"))
-        opts["generator"] = Adam(nets["generator"].trainable_parameters(), hp.lr_g, betas=GAN_BETAS)
-    if "discriminator" in specs:
-        nets["discriminator"] = build_discriminator(specs["discriminator"], Rng(hp.seed, "init/discriminator"))
-        opts["discriminator"] = Adam(nets["discriminator"].trainable_parameters(), hp.lr_d, betas=GAN_BETAS)
-    if "shared" in specs:
-        nets["shared"] = build_shared_discriminator(specs["shared"], Rng(hp.seed, "init/shared"))
-        opts["shared"] = Adam(nets["shared"].trainable_parameters(), hp.lr_c, betas=CLS_BETAS)
+    for net in variant_nets:
+        spec = NetworkSpec(
+            role=net.role,
+            image_size=dataset.image_size,
+            channels=dataset.channels,
+            num_classes=dataset.num_classes,
+            base_width=hp.base_width,
+            conditional=net.conditional,
+            depth=hp.depth if net.role == "classifier" else 1,  # others ignore it; checkpoints keep 1
+        )
+        nets[net.key] = build_network(spec, Rng(hp.seed, f"init/{net.key}"))
+        opts[net.key] = Adam(nets[net.key].trainable_parameters(), getattr(hp, net.lr), betas=net.betas)
 
-    classifier_key = "classifier" if "classifier" in nets else "shared"
-    hp_supervised = HyperParams(**{**hp.__dict__, "lam": 0.0}) if variant == "baseline" else None
+    classifier = nets["classifier"] if "classifier" in nets else nets["shared"]
     history = []
     step = 0
     for epoch in range(hp.epochs):
-        sums = StepMetrics()
-        n_steps = 0
+        steps = []
         for batch in batches(dataset, hp.batch_size, rng_data, hp.augment):
-            if variant == "shared":
-                metrics = shared_step(
-                    nets["shared"], nets["generator"], batch, hp,
-                    opts["shared"], opts["generator"], rng_latent,
-                    step=step, epoch=epoch,
-                )
-            elif variant == "baseline":
-                sup, _, _ = classifier_step(
-                    nets["classifier"], None, batch, hp_supervised,
-                    opts["classifier"], rng_latent, step=step,
-                )
-                metrics = StepMetrics(loss_c_sup=sup, step=step, epoch=epoch)
-            else:
-                loss_d = discriminator_step(
-                    nets["discriminator"], nets["generator"], batch.images,
-                    opts["discriminator"], rng_latent, step=step, labels=batch.labels,
-                )
-                loss_g = generator_step(
-                    nets["generator"], nets["discriminator"], len(batch),
-                    opts["generator"], rng_latent, step=step,
-                )
-                sup, unsup, keep = classifier_step(
-                    nets["classifier"], nets["generator"], batch, hp,
-                    opts["classifier"], rng_latent, step=step,
-                )
-                metrics = StepMetrics(loss_d, loss_g, sup, unsup, keep, step, epoch)
-            sums.loss_d += metrics.loss_d
-            sums.loss_g += metrics.loss_g
-            sums.loss_c_sup += metrics.loss_c_sup
-            sums.loss_c_unsup += metrics.loss_c_unsup
-            sums.keep_rate += metrics.keep_rate
-            n_steps += 1
+            steps.append(variant_step(nets, opts, batch, hp, rng_latent, step))
             step += 1
-
         row = {
             "epoch": epoch,
-            "loss_d": sums.loss_d / n_steps,
-            "loss_g": sums.loss_g / n_steps,
-            "loss_c_sup": sums.loss_c_sup / n_steps,
-            "loss_c_unsup": sums.loss_c_unsup / n_steps,
-            "keep_rate": sums.keep_rate / n_steps,
-            "train_acc": evaluate(nets[classifier_key], dataset),
-            "test_acc": evaluate(nets[classifier_key], eval_dataset) if eval_dataset else float("nan"),
+            **_epoch_means(steps),
+            "train_acc": evaluate(classifier, dataset),
+            "test_acc": evaluate(classifier, eval_dataset) if eval_dataset else float("nan"),
         }
         history.append(row)
         if on_epoch is not None:

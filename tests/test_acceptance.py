@@ -28,9 +28,6 @@ from ecgan.networks import (
     LATENT_DIM,
     NetworkSpec,
     balanced_labels,
-    build_classifier,
-    build_discriminator,
-    build_generator,
     build_network,
     conditional_latent,
     latent,
@@ -169,21 +166,21 @@ def test_criterion_1_gradient_suite():
 
     common = dict(image_size=16, channels=1, num_classes=3, base_width=8)
     for i in range(instances):
-        gen = build_generator(NetworkSpec(role="generator", **common), Rng(i, "init/g"))
+        gen = build_network(NetworkSpec(role="generator", **common), Rng(i, "init/g"))
         z = latent(4, Rng(100 + i, "latent"))
         params = [p for _, p in gen.trainable_parameters()]
         err = check_directional_grid(
             lambda: T.sum_all(T.tanh(gen(z, update_stats=False))), params, tol=1e-3, seed=i)
         worst["generator16"] = max(worst.get("generator16", 0.0), err)
 
-        dis = build_discriminator(NetworkSpec(role="discriminator", **common), Rng(i, "init/d"))
+        dis = build_network(NetworkSpec(role="discriminator", **common), Rng(i, "init/d"))
         x = Tensor(np.random.default_rng(200 + i).uniform(-1, 1, (4, 1, 16, 16)).astype(np.float32))
         params = [p for _, p in dis.trainable_parameters()]
         err = check_directional_grid(
             lambda: T.sum_all(dis(x, update_stats=False)), params, tol=1e-3, seed=i)
         worst["discriminator16"] = max(worst.get("discriminator16", 0.0), err)
 
-        cls = build_classifier(NetworkSpec(role="classifier", depth=1, **common), Rng(i, "init/c"))
+        cls = build_network(NetworkSpec(role="classifier", depth=1, **common), Rng(i, "init/c"))
         y = np.random.default_rng(300 + i).integers(0, 3, size=4)
         params = [p for _, p in cls.trainable_parameters()]
         err = check_directional_grid(
@@ -214,13 +211,13 @@ def _zero_final(net):
 
 def test_criterion_2_loss_identities():
     common = dict(image_size=16, channels=1, num_classes=3, base_width=8)
-    hp = HyperParams(batch_size=8, base_width=8, variant="ecgan")
+    hp = HyperParams(batch_size=8, base_width=8)
     ds = synth_shapes(4, 3, 16, noise_sigma=0.1, seed=9)
     real = Tensor(D.normalize(ds.images[:8]))
     rng = Rng(0, "latent")
 
-    gen = build_generator(NetworkSpec(role="generator", **common), Rng(0, "init/g"))
-    dis = build_discriminator(NetworkSpec(role="discriminator", **common), Rng(0, "init/d"))
+    gen = build_network(NetworkSpec(role="generator", **common), Rng(0, "init/g"))
+    dis = build_network(NetworkSpec(role="discriminator", **common), Rng(0, "init/d"))
     _zero_final(dis)  # sigmoid(0) = 0.5 for every input
     opt_d = Adam(dis.trainable_parameters(), hp.lr_d, betas=(0.5, 0.999))
     loss_d = discriminator_step(dis, gen, real, opt_d, rng)
@@ -253,8 +250,8 @@ def test_criterion_2_loss_identities():
 def test_criterion_3_lambda_zero_equivalence():
     ds = synth_shapes(8, 3, 16, noise_sigma=0.1, seed=5)
     kw = dict(lam=0.0, epochs=3, batch_size=8, base_width=8, depth=1, seed=7)
-    res_ec = train("ecgan", ds, HyperParams(variant="ecgan", **kw))
-    res_sup = train("baseline", ds, HyperParams(variant="baseline", **kw))
+    res_ec = train("ecgan", ds, HyperParams(**kw))
+    res_sup = train("baseline", ds, HyperParams(**kw))
 
     sup = dict(res_sup.networks["classifier"].parameters())
     max_abs = max(
@@ -324,7 +321,7 @@ def protocol():
     def run(variant, lam, seed):
         key = (variant, lam, seed)
         if key not in cache:
-            hp = HyperParams(lam=lam, epochs=15, seed=seed, variant=variant)
+            hp = HyperParams(lam=lam, epochs=15, seed=seed)
             t0 = time.time()
             cache[key] = train(variant, train_ds, hp, eval_dataset=test_ds)
             wall[key] = time.time() - t0
@@ -448,8 +445,8 @@ def _good_idx(tmp_path, n=4, size=8):
 def test_criterion_10_format_round_trips(tmp_path):
     # (a) checkpoint round trip is bit-exact, parameters and optimizer state
     common = dict(image_size=16, channels=1, num_classes=3, base_width=8)
-    gen = build_generator(NetworkSpec(role="generator", **common), Rng(3, "init/g"))
-    cls = build_classifier(NetworkSpec(role="classifier", depth=1, **common), Rng(3, "init/c"))
+    gen = build_network(NetworkSpec(role="generator", **common), Rng(3, "init/g"))
+    cls = build_network(NetworkSpec(role="classifier", depth=1, **common), Rng(3, "init/c"))
     with no_grad():
         gen(latent(4, Rng(8, "latent")))  # move BN running stats off init
     opt = Adam(cls.trainable_parameters(), 2e-4)
@@ -496,7 +493,7 @@ def test_criterion_10_format_round_trips(tmp_path):
     idx_ok = all(flag for _, flag in rejected) and len(rejected) == 5
 
     # (c) a generated color grid parses under the P6 grammar
-    gen3 = build_generator(
+    gen3 = build_network(
         NetworkSpec(role="generator", image_size=16, channels=3, num_classes=3, base_width=8),
         Rng(5, "init/g"),
     )

@@ -9,9 +9,7 @@ import ecgan.checkpoint as C
 from ecgan.errors import ContractError, FormatError
 from ecgan.networks import (
     NetworkSpec,
-    build_classifier,
-    build_discriminator,
-    build_generator,
+    build_network,
     latent,
 )
 from ecgan.optim import Adam
@@ -20,8 +18,8 @@ from ecgan.tensor import Rng, no_grad
 
 def tiny_nets(seed=0):
     common = dict(image_size=16, channels=1, num_classes=3, base_width=8)
-    gen = build_generator(NetworkSpec(role="generator", **common), Rng(seed, "init/g"))
-    cls = build_classifier(NetworkSpec(role="classifier", depth=1, **common), Rng(seed, "init/c"))
+    gen = build_network(NetworkSpec(role="generator", **common), Rng(seed, "init/g"))
+    cls = build_network(NetworkSpec(role="classifier", depth=1, **common), Rng(seed, "init/c"))
     return {"generator": gen, "classifier": cls}
 
 

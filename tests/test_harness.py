@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ecgan.checkpoint import save_checkpoint
 from ecgan.config import ExperimentConfig, load_config
 from ecgan.data import AugmentPolicy
 from ecgan.errors import ConfigError, ContractError, TrainingDiverged
-from ecgan.networks import NetworkSpec, build_classifier, build_generator, build_shared_discriminator
+from ecgan.networks import NetworkSpec, build_network
 from ecgan.tensor import Rng
 
 
@@ -46,6 +47,13 @@ def read_metrics(out_dir):
 
 
 # -- config schema ------------------------------------------------------------
+
+
+def test_readme_config_block_shows_the_defaults():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text().split("## Configs", 1)[1]
+    block = text.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == ExperimentConfig().resolved()
 
 
 def test_defaults_match_published_settings():
@@ -244,7 +252,7 @@ SPEC16 = dict(image_size=16, channels=1, num_classes=3, base_width=8)
 
 
 def gen_checkpoint(tmp_path, conditional=False):
-    gen = build_generator(
+    gen = build_network(
         NetworkSpec(role="generator", conditional=conditional, **SPEC16), Rng(0, "init/g"))
     path = tmp_path / "gen.ckpt"
     save_checkpoint(path, {"generator": gen})
@@ -283,7 +291,7 @@ def test_generate_rejects_bad_n(tmp_path):
 
 
 def test_generate_needs_generator(tmp_path):
-    cls = build_classifier(NetworkSpec(role="classifier", depth=1, **SPEC16), Rng(0, "init/c"))
+    cls = build_network(NetworkSpec(role="classifier", depth=1, **SPEC16), Rng(0, "init/c"))
     path = tmp_path / "cls.ckpt"
     save_checkpoint(path, {"classifier": cls})
     with pytest.raises(ContractError, match="no generator"):
@@ -291,7 +299,7 @@ def test_generate_needs_generator(tmp_path):
 
 
 def test_eval_prints_accuracy(tmp_path, capsys):
-    cls = build_classifier(NetworkSpec(role="classifier", depth=1, **SPEC16), Rng(0, "init/c"))
+    cls = build_network(NetworkSpec(role="classifier", depth=1, **SPEC16), Rng(0, "init/c"))
     path = tmp_path / "cls.ckpt"
     save_checkpoint(path, {"classifier": cls})
     assert H.cmd_eval(str(path), "synth:n_per_class=4,classes=3,size=16,seed=2") == 0
@@ -301,7 +309,7 @@ def test_eval_prints_accuracy(tmp_path, capsys):
 
 
 def test_eval_accepts_shared_head(tmp_path, capsys):
-    sd = build_shared_discriminator(
+    sd = build_network(
         NetworkSpec(role="shared_discriminator", **SPEC16), Rng(0, "init/sd"))
     path = tmp_path / "sd.ckpt"
     save_checkpoint(path, {"shared": sd})
@@ -310,7 +318,7 @@ def test_eval_accepts_shared_head(tmp_path, capsys):
 
 
 def test_eval_class_count_mismatch(tmp_path):
-    cls = build_classifier(NetworkSpec(role="classifier", depth=1, **SPEC16), Rng(0, "init/c"))
+    cls = build_network(NetworkSpec(role="classifier", depth=1, **SPEC16), Rng(0, "init/c"))
     path = tmp_path / "cls.ckpt"
     save_checkpoint(path, {"classifier": cls})
     with pytest.raises(ContractError, match="classes"):

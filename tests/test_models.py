@@ -50,13 +50,6 @@ def test_n_halvings():
     assert spec_for("generator", size=64).n_halvings == 4
 
 
-def test_builders_check_role():
-    with pytest.raises(SpecError):
-        N.build_generator(spec_for("discriminator"), Rng(0, "x"))
-    with pytest.raises(SpecError):
-        N.build_classifier(spec_for("generator"), Rng(0, "x"))
-
-
 # ---------------------------------------------------------------------------
 # class encoding and latents
 
@@ -302,6 +295,17 @@ def test_shared_trunk_matches_discriminator_trunk_size():
     trunk = sum(sd._params[n].size for n in sd.trunk_parameter_names() if sd._params[n].requires_grad)
     dtrunk = sum(t.size for n, t in d.trainable_parameters() if not n.startswith("final"))
     assert trunk == dtrunk == 41_424
+
+
+def test_shared_trunk_equals_discriminator_blocks():
+    # One trunk builder: same seed and stream give the same arrays, name for name.
+    d = N.build_network(spec_for("discriminator"), Rng(7, "init/same"))
+    sd = N.build_network(spec_for("shared_discriminator"), Rng(7, "init/same"))
+    blocks = {n[len("blocks."):]: t for n, t in d.parameters() if n.startswith("blocks.")}
+    trunk = {n[len("trunk."):]: t for n, t in sd.parameters() if n.startswith("trunk.")}
+    assert list(blocks) == list(trunk) and len(blocks) == 12
+    for name, t in blocks.items():
+        np.testing.assert_array_equal(t.data, trunk[name].data, err_msg=name)
 
 
 def test_conditional_discriminator_label_channel():

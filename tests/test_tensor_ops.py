@@ -37,6 +37,13 @@ def test_backward_requires_scalar():
     x = t([[1.0, 2.0]])
     with pytest.raises(ContractError):
         T.backward(T.relu(x))
+    # a scalar leaf is its own loss: grad 1 when it requires grad, else untouched
+    leaf = t([3.0])
+    T.backward(leaf)
+    assert np.array_equal(leaf.grad, np.array([1.0]))
+    const = t([3.0], grad=False)
+    T.backward(const)
+    assert const.grad is None
 
 
 def test_grad_accumulates_across_calls():

@@ -14,10 +14,7 @@ from ecgan.data import Batch, Dataset
 from ecgan.errors import ContractError, SpecError, TrainingDiverged
 from ecgan.networks import (
     NetworkSpec,
-    build_classifier,
-    build_discriminator,
-    build_generator,
-    build_shared_discriminator,
+    build_network,
     latent,
 )
 from ecgan.optim import Adam
@@ -48,11 +45,11 @@ def tiny_batch(n=6, seed=0):
 
 
 def make_nets(seed=0, conditional=False):
-    gen = build_generator(
+    gen = build_network(
         NetworkSpec(role="generator", conditional=conditional, **SPEC16), Rng(seed, "init/g"))
-    dis = build_discriminator(
+    dis = build_network(
         NetworkSpec(role="discriminator", conditional=conditional, **SPEC16), Rng(seed, "init/d"))
-    cls = build_classifier(
+    cls = build_network(
         NetworkSpec(role="classifier", depth=1, **SPEC16), Rng(seed, "init/c"))
     return gen, dis, cls
 
@@ -282,14 +279,14 @@ def test_divergence_raises_with_step():
 
 
 def test_shared_lambda_zero_keeps_discrimination_head_still():
-    sd = build_shared_discriminator(
+    sd = build_network(
         NetworkSpec(role="shared_discriminator", **SPEC16), Rng(11, "init/sd"))
     gen, _, _ = make_nets(seed=11)
     batch = tiny_batch(6, seed=11)
     head_d_before = {
         n: p.data.copy() for n, p in sd.parameters() if n.startswith("head_d")
     }
-    hp = HyperParams(lam=0.0, weight_decay=0.0, batch_size=6, epochs=1, variant="shared")
+    hp = HyperParams(lam=0.0, weight_decay=0.0, batch_size=6, epochs=1)
     opt_sd = Adam(sd.trainable_parameters(), 2e-4, betas=CLS_BETAS)
     opt_g = Adam(gen.trainable_parameters(), 2e-4, betas=GAN_BETAS)
     metrics = shared_step(sd, gen, batch, hp, opt_sd, opt_g, Rng(11, "latent"))
@@ -307,7 +304,7 @@ def test_shared_lambda_zero_keeps_discrimination_head_still():
 def test_shared_trunk_gradient_decomposition():
     # Combined backward == CE gradient + lambda * GAN gradient on the trunk.
     with T.precision(np.float64):
-        sd = build_shared_discriminator(
+        sd = build_network(
             NetworkSpec(role="shared_discriminator", **SPEC16), Rng(12, "init/sd"))
         batch = tiny_batch(6, seed=12)
         fake = Tensor(np.tanh(np.random.default_rng(0).normal(size=(6, 1, 16, 16))))
@@ -361,8 +358,8 @@ def test_step_order_is_d_then_g_then_c(monkeypatch):
 def test_lambda_zero_run_equals_baseline_run():
     ds = tiny_dataset(4, seed=20)
     hp0 = HyperParams(lam=0.0, batch_size=6, epochs=2, seed=3, base_width=8, depth=1)
-    ec = train("ecgan", ds, HyperParams(**{**hp0.__dict__, "variant": "ecgan"}))
-    base = train("baseline", ds, HyperParams(**{**hp0.__dict__, "variant": "baseline"}))
+    ec = train("ecgan", ds, hp0)
+    base = train("baseline", ds, hp0)
     for (n, p), (_, q) in zip(
         ec.networks["classifier"].parameters(), base.networks["classifier"].parameters()
     ):
@@ -407,9 +404,21 @@ def test_baseline_history_has_no_gan_signal():
 
 def test_shared_variant_networks():
     ds = tiny_dataset(3, seed=24)
-    hp = HyperParams(lam=0.1, batch_size=9, epochs=1, base_width=8, depth=1, variant="shared")
+    hp = HyperParams(lam=0.1, batch_size=9, epochs=1, base_width=8, depth=1)
     res = train("shared", ds, hp)
     assert set(res.networks) == {"shared", "generator"}
+
+
+def test_conditional_variant_networks_and_determinism():
+    ds = tiny_dataset(2, seed=25)
+    hp = HyperParams(lam=0.1, batch_size=6, epochs=1, base_width=8, depth=1)
+    a = train("ecgan_conditional", ds, hp, eval_dataset=ds)
+    b = train("ecgan_conditional", ds, hp, eval_dataset=ds)
+    assert set(a.networks) == {"classifier", "generator", "discriminator"}
+    assert a.networks["generator"].spec.conditional
+    assert a.networks["discriminator"].spec.conditional
+    assert not a.networks["classifier"].spec.conditional
+    assert a.history == b.history
 
 
 def test_train_rejects_unknown_variant():
@@ -534,7 +543,6 @@ def test_evaluate_empty_dataset_rejected():
     [
         (dict(lam=-0.1), "lambda"),
         (dict(threshold=1.5), "threshold"),
-        (dict(variant="dcgan"), "variant"),
         (dict(batch_size=0), "batch_size"),
         (dict(epochs=0), "batch_size and epochs"),
     ],
