@@ -25,7 +25,7 @@ from .tensor import Rng
 MAGIC = b"ECGANCK1"
 FORMAT_VERSION = 1
 
-_DTYPES = {"<f4": np.dtype("<f4"), "<i8": np.dtype("<i8")}
+_RECORD_DTYPE = np.dtype("<f4")
 
 
 def save_checkpoint(path, networks, optimizers=None, meta=None):
@@ -39,13 +39,9 @@ def save_checkpoint(path, networks, optimizers=None, meta=None):
 
     def put(name, array):
         arr = np.ascontiguousarray(array)
-        if arr.dtype == np.float32:
-            arr = arr.astype("<f4", copy=False)
-        elif arr.dtype == np.int64:
-            arr = arr.astype("<i8", copy=False)
-        else:
+        if arr.dtype != np.float32:
             raise ContractError(f"record {name!r} has unsupported dtype {arr.dtype}")
-        records.append((name, arr))
+        records.append((name, arr.astype(_RECORD_DTYPE, copy=False)))
 
     components = {}
     for key, net in networks.items():
@@ -159,14 +155,13 @@ def load_checkpoint(path):
     arrays = {}
     pos = 16 + hlen
     for rec in header["records"]:
-        dtype = _DTYPES.get(rec["dtype"])
-        if dtype is None:
+        if rec["dtype"] != _RECORD_DTYPE.str:
             raise FormatError(f"{path}: record {rec['name']!r} has dtype {rec['dtype']}", offset=pos)
         count = int(np.prod(rec["shape"], dtype=np.int64)) if rec["shape"] else 1
-        nbytes = count * dtype.itemsize
+        nbytes = count * _RECORD_DTYPE.itemsize
         if len(buf) < pos + nbytes:
             raise FormatError(f"{path}: truncated record {rec['name']!r}", offset=len(buf))
-        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).reshape(rec["shape"])
+        arr = np.frombuffer(buf, dtype=_RECORD_DTYPE, count=count, offset=pos).reshape(rec["shape"])
         arrays[rec["name"]] = arr.copy()
         pos += nbytes
     if pos != len(buf):

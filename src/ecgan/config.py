@@ -18,7 +18,6 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .data import AugmentPolicy
 from .errors import ConfigError
 from .training import VARIANTS, HyperParams
 
@@ -149,11 +148,7 @@ class ExperimentConfig:
             hp_kwargs["lam"] = lam
         aug_on = self.augment if augment is None else augment
         decay_on = self.decay if decay is None else decay
-        hp = HyperParams(
-            seed=seed,
-            augment=AugmentPolicy(enabled=True) if aug_on else None,
-            **hp_kwargs,
-        )
+        hp = HyperParams(seed=seed, augment=aug_on, **hp_kwargs)
         if not decay_on:
             hp.weight_decay = 0.0
         return hp

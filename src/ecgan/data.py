@@ -81,13 +81,9 @@ class Batch:
         return self.images.shape[0]
 
 
-@dataclass
-class AugmentPolicy:
-    """Pad-and-crop plus small random rotation, both uniformly sampled."""
-
-    crop_pad: int = 4
-    rotation_deg: float = 10.0
-    enabled: bool = True
+# `augment_images`: crop margin in pixels and rotation bound in degrees.
+CROP_PAD = 4
+ROTATION_DEG = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +169,15 @@ def _resize_nearest(img, size):
     return img[rows][:, cols]
 
 
-def load_image_dir(root, size, channels=1, labels_csv=None):
-    """Load 8-bit PGM/PPM files listed in a `filename,label` manifest.
+def load_image_dir(root, size, channels=1):
+    """Load 8-bit PGM/PPM files listed in the `root/labels.csv` manifest
+    (`filename,label` rows, filenames relative to `root`).
 
     Images are resized to size x size by nearest neighbor; grayscale is
     replicated across channels when 3 are requested, color averaged when
     1 is requested.
     """
-    manifest = labels_csv if labels_csv is not None else os.path.join(root, "labels.csv")
+    manifest = os.path.join(root, "labels.csv")
     if not os.path.exists(manifest):
         raise DataError(f"missing manifest {manifest}")
     rows = []
@@ -361,24 +358,21 @@ def _rotate_bilinear(img, angle_rad):
     return out
 
 
-def augment(images, policy, rng):
-    """Per image: zero-pad/crop at a random offset, then random rotation.
+def augment_images(images, rng):
+    """Per image: zero-pad by CROP_PAD and crop at a random offset, then
+    rotate by a random angle within +/- ROTATION_DEG.
 
     Operates on [N,C,H,W] arrays in [0,1] (pre-normalization, so zero
-    fill lands at -1 after normalize). Disabled policy is the identity.
+    fill lands at -1 after normalize).
     """
-    if not policy.enabled:
-        return images
     n, c, h, w = images.shape
-    pad = policy.crop_pad
+    pad = CROP_PAD
     out = np.empty_like(images)
     for i in range(n):
-        img = images[i]
-        if pad > 0:
-            padded = np.pad(img, ((0, 0), (pad, pad), (pad, pad)))
-            dy, dx = rng.integers(0, 2 * pad + 1, (2,))
-            img = padded[:, dy : dy + h, dx : dx + w]
-        angle = float(rng.uniform(-policy.rotation_deg, policy.rotation_deg))
+        padded = np.pad(images[i], ((0, 0), (pad, pad), (pad, pad)))
+        dy, dx = rng.integers(0, 2 * pad + 1, (2,))
+        img = padded[:, dy : dy + h, dx : dx + w]
+        angle = float(rng.uniform(-ROTATION_DEG, ROTATION_DEG))
         out[i] = _rotate_bilinear(np.ascontiguousarray(img), np.deg2rad(angle))
     return out
 
@@ -402,20 +396,19 @@ def subsample(dataset, percent, seed):
     return dataset.subset(indices, name=f"{dataset.name}[{percent:g}%]")
 
 
-def batches(dataset, batch_size, rng, policy=None):
+def batches(dataset, batch_size, rng, augment=False):
     """One epoch of batches in a seeded shuffle order, normalized.
 
-    `rng` may be an `Rng` or a plain seed. The final short batch is kept.
-    Augmentation runs before normalization when a policy is enabled.
+    The final short batch is kept. With `augment`, `augment_images` runs
+    on each batch before normalization, drawing from `rng` after the
+    shuffle.
     """
     if batch_size < 1:
         raise DataError(f"batch_size must be >= 1, got {batch_size}")
-    if isinstance(rng, int):
-        rng = Rng(rng, "batches")
     order = rng.permutation(len(dataset))
     for start in range(0, len(dataset), batch_size):
         idx = order[start : start + batch_size]
         images = dataset.images[idx]
-        if policy is not None and policy.enabled:
-            images = augment(images, policy, rng)
+        if augment:
+            images = augment_images(images, rng)
         yield Batch(Tensor(normalize(images)), dataset.labels[idx])

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import pgm
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import load_config
+from .config import _SYNTH_DEFAULTS, load_config
 from .data import denormalize, load_idx, load_image_dir, subsample, synth_shapes
 from .errors import ContractError, DataError
 from .networks import balanced_labels, conditional_latent, latent
@@ -254,12 +254,13 @@ def parse_data_spec(spec_text):
         k, _, v = part.partition("=")
         kv[k] = v
     if source == "synth":
+        defaults = _SYNTH_DEFAULTS  # the corpus that configs train and test on
         return synth_shapes(
-            int(kv.get("n_per_class", 100)),
-            int(kv.get("classes", 3)),
-            int(kv.get("size", 32)),
-            noise_sigma=float(kv.get("noise_sigma", 0.1)),
-            seed=int(kv.get("seed", 0)),
+            int(kv.get("n_per_class", defaults["test_per_class"])),
+            int(kv.get("classes", defaults["classes"])),
+            int(kv.get("size", defaults["size"])),
+            noise_sigma=float(kv.get("noise_sigma", defaults["noise_sigma"])),
+            seed=int(kv.get("seed", defaults["data_seed"])),
         )
     if source == "idx":
         for req in ("images", "labels"):

@@ -3,51 +3,32 @@
 State is keyed by parameter name, so the update is invariant to the
 order in which parameters are listed. Decay is the coupled form (added
 into the gradient before the Adam step) and skips biases and batch-norm
-scale/shift by default.
+scale/shift.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import ContractError
 
-
-def default_exempt(name: str) -> bool:
-    """Biases and batch-norm affine parameters are not decayed."""
-    return name.endswith((".b", ".gamma", ".beta"))
+# Biases and batch-norm affine parameters are not decayed.
+_EXEMPT_SUFFIXES = (".b", ".gamma", ".beta")
 
 
-@dataclass
-class DecayPolicy:
-    """L2 penalty strength plus a name predicate for exemptions.
-
-    coefficient 0 leaves gradients bit-exactly untouched.
-    """
-
-    coefficient: float = 0.0
-    exempt: Callable[[str], bool] = field(default=default_exempt)
-
-    def __post_init__(self):
-        if self.coefficient < 0:
-            raise ContractError(f"decay coefficient must be >= 0, got {self.coefficient}")
-
-
-def apply_weight_decay(params, policy):
+def apply_weight_decay(params, coefficient):
     """Add coefficient * theta into the gradient of each non-exempt param.
 
     Parameters without a gradient are skipped; they are not taking part
-    in the current step.
+    in the current step. A coefficient of 0 leaves gradients bit-exactly
+    untouched.
     """
-    if policy.coefficient == 0:
+    if coefficient == 0:
         return
     for name, p in params:
-        if p.grad is None or policy.exempt(name):
+        if p.grad is None or name.endswith(_EXEMPT_SUFFIXES):
             continue
-        p.grad += (policy.coefficient * p.data).astype(p.grad.dtype)
+        p.grad += (coefficient * p.data).astype(p.grad.dtype)
 
 
 class Adam:

@@ -39,24 +39,20 @@ def default_dtype():
     return _DEFAULT_DTYPE
 
 
-def set_default_dtype(dtype):
-    """Set the scalar dtype for newly created tensors (float32 or float64)."""
+@contextlib.contextmanager
+def precision(dtype):
+    """Temporarily switch the scalar dtype of new tensors to float32 or
+    float64 (used by 64-bit test oracles)."""
     global _DEFAULT_DTYPE
     dtype = np.dtype(dtype).type
     if dtype not in (np.float32, np.float64):
         raise ValueError("default dtype must be float32 or float64")
-    _DEFAULT_DTYPE = dtype
-
-
-@contextlib.contextmanager
-def precision(dtype):
-    """Temporarily switch the default dtype (used by 64-bit test oracles)."""
     previous = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    _DEFAULT_DTYPE = dtype
     try:
         yield
     finally:
-        set_default_dtype(previous)
+        _DEFAULT_DTYPE = previous
 
 
 @contextlib.contextmanager
@@ -88,10 +84,6 @@ class Rng:
             hashlib.blake2s(stream.encode("utf-8"), digest_size=8).digest(), "little"
         )
         self._gen = np.random.Generator(np.random.Philox(key=[self.seed & (2**64 - 1), sid]))
-
-    def spawn(self, name):
-        """Derive an independent stream for a named purpose."""
-        return Rng(self.seed, f"{self.stream}/{name}")
 
     def normal(self, shape=None, loc=0.0, scale=1.0):
         out = self._gen.normal(loc, scale, shape)
@@ -164,12 +156,6 @@ class Tensor:
         out.grad = None
         out.node = None
         return out
-
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
-
-    def backward(self):
-        backward(self)
 
     def __add__(self, other):
         return add(self, other)
@@ -248,18 +234,6 @@ def _accumulate(t, g):
         t.grad = g.astype(t.data.dtype, copy=True)
     else:
         t.grad += g
-
-
-# ---------------------------------------------------------------------------
-# creation
-
-
-def randn(shape, rng):
-    """Standard-normal tensor with the given shape. Not differentiable."""
-    shape = tuple(int(d) for d in shape)
-    if len(shape) == 0 or any(d <= 0 for d in shape):
-        raise ShapeError(f"randn() needs positive dimensions, got {shape}")
-    return Tensor(rng.normal(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +394,8 @@ def softmax(a):
 # losses
 
 
-def cross_entropy(logits, labels, weights=None):
-    """Mean over the batch of -log softmax(logits)[label], optionally weighted.
+def cross_entropy(logits, labels):
+    """Mean over the batch of -log softmax(logits)[label].
 
     Labels are integer class indices; an empty batch yields exactly 0.
     """
@@ -435,25 +409,15 @@ def cross_entropy(logits, labels, weights=None):
         return Tensor(np.zeros((), dtype=logits.data.dtype))
     if labels.min() < 0 or labels.max() >= k:
         raise InvalidLabelError(f"labels must lie in [0,{k}), got range [{labels.min()},{labels.max()}]")
-    if weights is None:
-        w = np.ones(n, dtype=logits.data.dtype)
-    else:
-        w = np.asarray(weights, dtype=logits.data.dtype)
-        if w.shape != (n,):
-            raise ShapeError(f"cross_entropy() weights shape {w.shape} != ({n},)")
-        if (w < 0).any():
-            raise ContractError("cross_entropy() weights must be nonnegative")
-
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - logsumexp
     picked = logp[np.arange(n), labels]
-    out = Tensor((-(w * picked).sum() / n).astype(logits.data.dtype))
+    out = Tensor((-picked.sum() / n).astype(logits.data.dtype))
 
     def back(g):
-        p = np.exp(logp)
-        grad = p * w[:, None]
-        grad[np.arange(n), labels] -= w
+        grad = np.exp(logp)
+        grad[np.arange(n), labels] -= 1.0
         return (grad * (g / n),)
 
     return _attach(out, "cross_entropy", (logits,), back)

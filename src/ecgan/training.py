@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import AugmentPolicy, batches
+from .data import batches
 from .errors import ContractError, SpecError, TrainingDiverged
 from .networks import (
     NetworkSpec,
@@ -32,7 +32,7 @@ from .networks import (
     conditional_latent,
     latent,
 )
-from .optim import Adam, DecayPolicy, apply_weight_decay
+from .optim import Adam, apply_weight_decay
 from .tensor import (
     Rng,
     Tensor,
@@ -53,7 +53,9 @@ CLS_BETAS = (0.9, 0.999)
 @dataclass
 class HyperParams:
     """Training knobs. `lam` is the adversarial weight on the unsupervised
-    classifier term (the config file key is "lambda")."""
+    classifier term (the config file key is "lambda"). `weight_decay` is the
+    coupled L2 coefficient on the classifier; `augment` turns on
+    `data.augment_images` for the real batches."""
 
     lam: float = 0.1
     threshold: float = 0.7
@@ -66,13 +68,15 @@ class HyperParams:
     seed: int = 0
     base_width: int = 8
     depth: int = 1
-    augment: AugmentPolicy | None = None
+    augment: bool = False
 
     def __post_init__(self):
         if self.lam < 0:
             raise SpecError(f"lambda must be >= 0, got {self.lam}")
         if not 0.0 <= self.threshold <= 1.0:
             raise SpecError(f"threshold must be in [0,1], got {self.threshold}")
+        if self.weight_decay < 0:
+            raise SpecError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.batch_size < 1 or self.epochs < 1:
             raise SpecError("batch_size and epochs must be >= 1")
 
@@ -120,10 +124,6 @@ def _check_finite(value, step, what):
     if not np.isfinite(value):
         raise TrainingDiverged(f"{what} became non-finite ({value})", step=step)
     return float(value)
-
-
-def _decay_for(hp):
-    return DecayPolicy(coefficient=hp.weight_decay)
 
 
 def _draw_latent(n, num_classes, conditional, rng):
@@ -211,7 +211,7 @@ def classifier_step(c, g, batch, hp, opt_c, rng, step=0):
     _check_finite(unsup_value, step, "classifier unsupervised loss")
     opt_c.zero_grad()
     backward(loss)
-    apply_weight_decay(c.trainable_parameters(), _decay_for(hp))
+    apply_weight_decay(c.trainable_parameters(), hp.weight_decay)
     opt_c.step()
     return sup_value, unsup_value, keep_rate
 
@@ -249,7 +249,7 @@ def shared_step(sd, g, batch, hp, opt_sd, opt_g, rng, step=0):
         for name, p in sd.trainable_parameters():
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)
-    apply_weight_decay(sd.trainable_parameters(), _decay_for(hp))
+    apply_weight_decay(sd.trainable_parameters(), hp.weight_decay)
     opt_sd.step()
 
     lv2 = _draw_latent(batch.images.shape[0], sd.spec.num_classes, False, rng)
@@ -416,7 +416,7 @@ def train(variant, dataset, hp, eval_dataset=None, on_epoch=None):
     step = 0
     for epoch in range(hp.epochs):
         steps = []
-        for batch in batches(dataset, hp.batch_size, rng_data, hp.augment):
+        for batch in batches(dataset, hp.batch_size, rng_data, augment=hp.augment):
             steps.append(variant_step(nets, opts, batch, hp, rng_latent, step))
             step += 1
         row = {

@@ -8,9 +8,8 @@ import pytest
 import ecgan.data as D
 from ecgan import pgm
 from ecgan.data import (
-    AugmentPolicy,
     Dataset,
-    augment,
+    augment_images,
     batches,
     denormalize,
     load_idx,
@@ -328,40 +327,36 @@ def test_rotate_keeps_center_fixed():
     assert out[0, 4, 4] > 0.99
 
 
-def test_augment_disabled_is_identity(rng):
-    x = rng.random((3, 1, 8, 8)).astype(np.float32)
-    out = augment(x, AugmentPolicy(enabled=False), Rng(0, "aug"))
-    assert out is x
-
-
-def test_augment_degenerate_policy_is_identity(rng):
-    x = rng.random((3, 1, 8, 8)).astype(np.float32)
-    out = augment(x, AugmentPolicy(crop_pad=0, rotation_deg=0.0), Rng(0, "aug"))
-    assert out is not x
-    np.testing.assert_array_equal(out, x)
+def test_augment_disabled_is_identity():
+    ds = small_ds(6, size=8)
+    batch = next(iter(batches(ds, 6, Rng(0, "batches"), augment=False)))
+    order = Rng(0, "batches").permutation(6)
+    np.testing.assert_array_equal(batch.images.data, normalize(ds.images[order]))
 
 
 def test_augment_deterministic_per_stream(rng):
     x = rng.random((4, 1, 8, 8)).astype(np.float32)
-    pol = AugmentPolicy()
-    a = augment(x, pol, Rng(5, "aug"))
-    b = augment(x, pol, Rng(5, "aug"))
-    c = augment(x, pol, Rng(6, "aug"))
+    a = augment_images(x, Rng(5, "aug"))
+    b = augment_images(x, Rng(5, "aug"))
+    c = augment_images(x, Rng(6, "aug"))
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == x.shape and a.dtype == x.dtype
 
 
 def test_augment_shifts_content():
-    x = np.zeros((1, 1, 8, 8), dtype=np.float32)
-    x[0, 0, 3:5, 3:5] = 1.0
-    pol = AugmentPolicy(crop_pad=2, rotation_deg=0.0)
-    seen_offsets = set()
+    # A square centred in the frame: rotating about the centre keeps its
+    # centroid's distance from the centre, so only the crop moves it, by at
+    # most CROP_PAD pixels per axis.
+    x = np.zeros((1, 1, 16, 16), dtype=np.float32)
+    x[0, 0, 6:10, 6:10] = 1.0
+    ys, xs = np.mgrid[0:16, 0:16] - 7.5
+    shifts = []
     for seed in range(8):
-        out = augment(x, pol, Rng(seed, "aug"))
-        ys, xs = np.nonzero(out[0, 0] > 0.5)
-        seen_offsets.add((ys.min(), xs.min()))
-    assert len(seen_offsets) > 1  # crops actually move the square
+        out = augment_images(x, Rng(seed, "aug"))[0, 0]
+        shifts.append(np.hypot((out * ys).sum(), (out * xs).sum()) / out.sum())
+    assert max(shifts) <= np.hypot(D.CROP_PAD, D.CROP_PAD) + 0.1
+    assert max(shifts) > 1.0  # crops actually move the square
 
 
 # -- subsample ----------------------------------------------------------------
@@ -435,18 +430,10 @@ def test_batches_deterministic_by_seed():
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
-def test_batches_accepts_plain_seed():
-    ds = small_ds(8)
-    a = [b.labels for b in batches(ds, 4, 9)]
-    b = [b.labels for b in batches(ds, 4, 9)]
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x, y)
-
-
 def test_batches_applies_augmentation():
     ds = small_ds(4, size=8)
     plain = next(iter(batches(ds, 4, Rng(0, "batches"))))
-    moved = next(iter(batches(ds, 4, Rng(0, "batches"), AugmentPolicy())))
+    moved = next(iter(batches(ds, 4, Rng(0, "batches"), augment=True)))
     assert not np.array_equal(plain.images.data, moved.images.data)
 
 

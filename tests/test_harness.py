@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import ecgan.harness as H
 from ecgan import pgm
 from ecgan.checkpoint import save_checkpoint
 from ecgan.config import ExperimentConfig, load_config
-from ecgan.data import AugmentPolicy
+from ecgan.data import synth_shapes
 from ecgan.errors import ConfigError, ContractError, TrainingDiverged
 from ecgan.networks import NetworkSpec, build_network
 from ecgan.tensor import Rng
@@ -63,7 +65,7 @@ def test_defaults_match_published_settings():
     assert hp.threshold == 0.7
     assert hp.lr_g == hp.lr_d == hp.lr_c == 2e-4
     assert hp.weight_decay == 1e-3
-    assert hp.augment is None  # augmentation is an opt-in strategy
+    assert hp.augment is False  # augmentation is an opt-in strategy
     assert cfg.decay is True
     assert cfg.dataset["source"] == "synth"
 
@@ -74,7 +76,7 @@ def test_hyper_maps_lambda_key_and_toggles():
     assert hp.lam == 0.25 and hp.epochs == 2 and hp.seed == 4
     assert cfg.hyper(seed=0, lam=0.5).lam == 0.5  # per-cell override wins
     assert cfg.hyper(seed=0, decay=False).weight_decay == 0.0
-    assert isinstance(cfg.hyper(seed=0, augment=True).augment, AugmentPolicy)
+    assert cfg.hyper(seed=0, augment=True).augment is True
 
 
 @pytest.mark.parametrize(
@@ -333,6 +335,9 @@ def test_eval_needs_classifier(tmp_path):
 def test_parse_data_spec():
     ds = H.parse_data_spec("synth:n_per_class=3,classes=2,size=16,noise_sigma=0,seed=9")
     assert len(ds) == 6 and ds.num_classes == 2
+    # Without noise_sigma, eval must draw the corpus that configs train on.
+    ds = H.parse_data_spec("synth:n_per_class=3,classes=2,size=16,seed=9")
+    np.testing.assert_array_equal(ds.images, synth_shapes(3, 2, 16, noise_sigma=0.105, seed=9).images)
     with pytest.raises(ContractError, match="source:key=value"):
         H.parse_data_spec("synth")
     with pytest.raises(ContractError, match="bad data spec field"):
@@ -421,3 +426,18 @@ def test_cli_generate_eval_round_trip(tmp_path, capsys):
     assert cli.main(["eval", ckpt, "--data",
                      "synth:n_per_class=4,classes=2,size=16,seed=1"]) == 0
     assert "accuracy=" in capsys.readouterr().out
+
+
+# -- benchmark hooks ------------------------------------------------------------
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/layers.py wraps package functions by name; a renamed or
+    # removed one must fail here, not only when the benchmark runs.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import layers; layers.install(layers.Tracer())"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ecgan.tensor as T
 from ecgan.errors import ContractError
-from ecgan.optim import Adam, DecayPolicy, apply_weight_decay, default_exempt
+from ecgan.optim import Adam, apply_weight_decay
 from ecgan.tensor import Tensor
 
 
@@ -134,17 +134,19 @@ def test_descends_quadratic():
 
 
 def test_default_exemptions():
-    assert default_exempt("blocks.0.conv.b")
-    assert default_exempt("blocks.1.bn.gamma")
-    assert default_exempt("bn0.beta")
-    assert not default_exempt("blocks.0.conv.w")
-    assert not default_exempt("proj.w")
+    names = ["blocks.0.conv.b", "blocks.1.bn.gamma", "bn0.beta", "blocks.0.conv.w", "proj.w"]
+    params = [_param([1.0], name=n) for n in names]
+    for _, p in params:
+        p.grad = np.zeros(1)
+    apply_weight_decay(params, 0.5)
+    decayed = [n for n, p in params if p.grad[0] != 0.0]
+    assert decayed == ["blocks.0.conv.w", "proj.w"]
 
 
 def test_decay_adds_scaled_weights_to_grad():
     name, p = _param([[1.0, -2.0]], name="fc.w")
     p.grad = np.array([[0.5, 0.5]])
-    apply_weight_decay([(name, p)], DecayPolicy(coefficient=0.001))
+    apply_weight_decay([(name, p)], 0.001)
     np.testing.assert_allclose(p.grad, [[0.5 + 0.001, 0.5 - 0.002]], rtol=1e-12)
 
 
@@ -153,7 +155,7 @@ def test_decay_skips_exempt_and_gradless():
     b.grad = np.array([0.25])
     nw, w = _param([1.0], name="fc.w")
     w.grad = None
-    apply_weight_decay([(nb, b), (nw, w)], DecayPolicy(coefficient=0.5))
+    apply_weight_decay([(nb, b), (nw, w)], 0.5)
     np.testing.assert_array_equal(b.grad, [0.25])
     assert w.grad is None
 
@@ -162,13 +164,8 @@ def test_zero_coefficient_is_bit_exact_noop():
     name, p = _param([3.0], name="fc.w")
     g = np.array([0.125])
     p.grad = g
-    apply_weight_decay([(name, p)], DecayPolicy(coefficient=0.0))
+    apply_weight_decay([(name, p)], 0.0)
     assert p.grad is g  # early return: same object, not merely equal
-
-
-def test_negative_coefficient_rejected():
-    with pytest.raises(ContractError, match="decay coefficient"):
-        DecayPolicy(coefficient=-0.1)
 
 
 def test_decay_equivalent_to_l2_gradient():
@@ -180,7 +177,7 @@ def test_decay_equivalent_to_l2_gradient():
 
     name, p = _param(w0, name="fc.w")
     p.grad = g0.copy()
-    apply_weight_decay([(name, p)], DecayPolicy(coefficient=c))
+    apply_weight_decay([(name, p)], c)
     opt = Adam([(name, p)], lr=0.05)
     opt.step()
 
@@ -194,7 +191,7 @@ def test_decay_keeps_grad_dtype():
     with T.precision(np.float32):
         p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         p.grad = np.ones(2, dtype=np.float32)
-        apply_weight_decay([("fc.w", p)], DecayPolicy(coefficient=0.001))
+        apply_weight_decay([("fc.w", p)], 0.001)
         assert p.grad.dtype == np.float32
 
 

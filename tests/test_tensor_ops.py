@@ -86,6 +86,10 @@ def test_precision_context_switches_and_restores():
     with T.precision(np.float32):
         assert T.Tensor(np.zeros(2, dtype=np.int32)).dtype == np.float32
     assert T.default_dtype() is np.float64
+    with pytest.raises(ValueError, match="float32 or float64"):
+        with T.precision(np.float16):
+            pass
+    assert T.default_dtype() is np.float64
 
 
 def test_non_float_input_cast_to_default():
@@ -218,13 +222,12 @@ def test_softmax_grads(rng):
 # cross-entropy
 
 
-def _ce_mpmath(z, labels, weights=None):
+def _ce_mpmath(z, labels):
     n, k = z.shape
     total = mpmath.mpf(0)
     for i in range(n):
         lse = mpmath.log(mpmath.fsum(mpmath.e ** mpmath.mpf(z[i, j]) for j in range(k)))
-        wi = mpmath.mpf(1 if weights is None else weights[i])
-        total += wi * (lse - mpmath.mpf(z[i, labels[i]]))
+        total += lse - mpmath.mpf(z[i, labels[i]])
     return total / n
 
 
@@ -251,19 +254,6 @@ def test_cross_entropy_float32_matches_mpmath(rng):
     assert rel_err(got, want) < 1e-5
 
 
-def test_cross_entropy_weighted(rng):
-    z = rng.normal(size=(5, 3))
-    labels = rng.integers(0, 3, 5)
-    w = np.array([0.0, 1.0, 2.0, 0.5, 0.0])
-    got = T.cross_entropy(t(z), labels, weights=w).item()
-    assert rel_err(got, float(_ce_mpmath(z, labels, w))) < 1e-12
-    # zero-weight rows contribute nothing
-    alt = z.copy()
-    alt[0] += 100.0
-    got2 = T.cross_entropy(t(alt), labels, weights=w).item()
-    assert rel_err(got, got2) < 1e-12
-
-
 def test_cross_entropy_empty_batch_is_zero():
     loss = T.cross_entropy(t(np.zeros((0, 4))), np.zeros(0, dtype=np.int64))
     assert loss.item() == 0.0
@@ -281,8 +271,7 @@ def test_cross_entropy_grad_is_softmax_minus_onehot(rng):
 def test_cross_entropy_fd_grads(rng):
     z = t(rng.normal(size=(5, 3)))
     labels = rng.integers(0, 3, 5)
-    w = rng.uniform(0.1, 2.0, 5)
-    check_grads(lambda: T.cross_entropy(z, labels, weights=w), [z], eps=1e-6, tol=1e-7)
+    check_grads(lambda: T.cross_entropy(z, labels), [z], eps=1e-6, tol=1e-7)
 
 
 def test_cross_entropy_rejects_bad_labels():
@@ -293,8 +282,6 @@ def test_cross_entropy_rejects_bad_labels():
         T.cross_entropy(z, np.array([-1, 0]))
     with pytest.raises(ShapeError):
         T.cross_entropy(z, np.array([0, 1, 2]))
-    with pytest.raises(ContractError):
-        T.cross_entropy(z, np.array([0, 1]), weights=np.array([1.0, -0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -394,25 +381,6 @@ def test_rng_streams_are_deterministic_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
-
-
-def test_rng_spawn_namespacing():
-    a = T.Rng(3, "init").spawn("generator").normal((4,))
-    b = T.Rng(3, "init/generator").normal((4,))
-    assert np.array_equal(a, b)
-
-
-def test_randn_moments_over_seeds():
-    vals = np.concatenate([T.randn((500,), T.Rng(s, "t")).data for s in range(20)])
-    assert abs(vals.mean()) < 0.02
-    assert abs(vals.std() - 1.0) < 0.02
-
-
-def test_randn_rejects_bad_shapes():
-    with pytest.raises(ShapeError):
-        T.randn((0, 3), T.Rng(0, "t"))
-    with pytest.raises(ShapeError):
-        T.randn((), T.Rng(0, "t"))
 
 
 def test_rng_dtype_follows_default():
