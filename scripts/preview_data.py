@@ -3,6 +3,7 @@ import argparse
 
 import numpy as np
 
+from ecgan.config import _SYNTH_DEFAULTS
 from ecgan.data import synth_shapes
 from ecgan.pgm import write_grid
 
@@ -10,11 +11,11 @@ from ecgan.pgm import write_grid
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="synth_preview.pgm")
-    ap.add_argument("--classes", type=int, default=3)
+    ap.add_argument("--classes", type=int, default=_SYNTH_DEFAULTS["classes"])
     ap.add_argument("--per-class", type=int, default=8)
-    ap.add_argument("--size", type=int, default=32)
-    ap.add_argument("--noise-sigma", type=float, default=0.105)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--size", type=int, default=_SYNTH_DEFAULTS["size"])
+    ap.add_argument("--noise-sigma", type=float, default=_SYNTH_DEFAULTS["noise_sigma"])
+    ap.add_argument("--seed", type=int, default=_SYNTH_DEFAULTS["data_seed"])
     args = ap.parse_args()
 
     ds = synth_shapes(args.per_class, args.classes, args.size, args.noise_sigma, args.seed)

@@ -12,8 +12,10 @@ Record names are "<component>/<parameter>" for networks and
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
@@ -28,11 +30,28 @@ FORMAT_VERSION = 1
 _RECORD_DTYPE = np.dtype("<f4")
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """Open `<path>.tmp` for writing and move it onto `path` when the block
+    ends without error. A crash or error mid-write never leaves a partial
+    file at `path`: it holds the old complete file or the new one."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, networks, optimizers=None, meta=None):
     """Write named networks (dict role_key -> Network) and optional optimizers.
 
     `optimizers` maps the same keys to Adam instances; `meta` is a small
-    JSON-serializable dict (hyperparameters, epoch counters, ...).
+    JSON-serializable dict (hyperparameters, epoch counters, ...). The file
+    appears at `path` only once complete (`atomic_open`).
     """
     optimizers = optimizers or {}
     records = []  # (record_name, contiguous little-endian array)
@@ -76,7 +95,7 @@ def save_checkpoint(path, networks, optimizers=None, meta=None):
         ],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)

@@ -18,6 +18,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .data import NOISE_SIGMA
 from .errors import ConfigError
 from .training import VARIANTS, HyperParams
 
@@ -52,9 +53,11 @@ _SYNTH_DEFAULTS = {
     "test_per_class": 100,
     "classes": 3,
     "size": 32,
-    "noise_sigma": 0.105,
+    "noise_sigma": NOISE_SIGMA,
     "data_seed": 0,
 }
+
+_DIR_DEFAULTS = {"size": 32, "channels": 1}
 
 _HP_KEYS = {
     "lambda": (int, float),
@@ -123,7 +126,7 @@ class ExperimentConfig:
             for req in ("root", "test_root"):
                 if req not in self.dataset:
                     raise ConfigError(f"dataset.{req} is required for dir source")
-            self.dataset = {**{"size": 32, "channels": 1}, **self.dataset}
+            self.dataset = {**_DIR_DEFAULTS, **self.dataset}
         _check_keys(self.hyperparams, _HP_KEYS, "hyperparams")
         if not self.dataset_percent:
             raise ConfigError("dataset_percent must be non-empty")

@@ -238,6 +238,7 @@ SCALE_RANGE = (0.40, 0.60)  # uniform range of the per-sample size parameter
 EDGE_SOFTNESS = 0.25  # outline transition width; keeps pixel densities smooth
 FG_RANGE = (0.75, 0.95)  # foreground intensity, drawn per sample
 BG_RANGE = (0.05, 0.15)  # background intensity, drawn per sample
+NOISE_SIGMA = 0.105  # default pixel noise; also the configs' corpus (config._SYNTH_DEFAULTS)
 
 
 def _render_shape(kind, cx, cy, xs, ys, rng, size):
@@ -275,7 +276,7 @@ def _render_shape(kind, cx, cy, xs, ys, rng, size):
     return np.clip(0.5 - d / aa, 0.0, 1.0)
 
 
-def synth_shapes(n_per_class, num_classes, size, noise_sigma=0.105, seed=0):
+def synth_shapes(n_per_class, num_classes, size, noise_sigma=NOISE_SIGMA, seed=0):
     """Procedural shape classes with position and scale jitter.
 
     Classes are, in order: filled square, circle, cross, triangle,

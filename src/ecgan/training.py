@@ -17,6 +17,7 @@ variants sharing a seed see identical real-data batches.
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
@@ -73,6 +74,9 @@ class HyperParams:
     def __post_init__(self):
         if self.lam < 0:
             raise SpecError(f"lambda must be >= 0, got {self.lam}")
+        for name in ("lr_g", "lr_d", "lr_c"):
+            if not getattr(self, name) > 0:
+                raise SpecError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 <= self.threshold <= 1.0:
             raise SpecError(f"threshold must be in [0,1], got {self.threshold}")
         if self.weight_decay < 0:
@@ -270,12 +274,24 @@ def shared_step(sd, g, batch, hp, opt_sd, opt_g, rng, step=0):
     )
 
 
+# Cores this process may use, when it is one of several cell workers that
+# share the affinity set (see `harness.run_cells`); None means all of them.
+core_budget = None
+
+
+def usable_cores():
+    """Cores this process may run on: its affinity set, or its `core_budget`."""
+    if core_budget is not None:
+        return core_budget
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def evaluate(net, dataset, batch_size=16):
     """Accuracy of argmax predictions in eval mode (running statistics).
 
-    The dataset is split into `batch_size`-image chunks, run on every usable
-    core: the calling thread takes one share of the chunks and a thread pool
-    the rest. In eval mode a sample's logits do not depend on the chunk it is
+    The dataset is split into `batch_size`-image chunks, run on each of
+    `usable_cores()`: the calling thread takes one share of the chunks and a
+    thread pool the rest. In eval mode a sample's logits do not depend on the chunk it is
     in, so the result is exact; numpy's copies, ufuncs and BLAS calls release
     the GIL, so chunks really run at once. The default of 16 images keeps peak
     memory level with one thread: each thread allocates from its own malloc
@@ -284,8 +300,7 @@ def evaluate(net, dataset, batch_size=16):
     if len(dataset) == 0:
         raise ContractError("cannot evaluate on an empty dataset")
     starts = range(0, len(dataset), batch_size)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cores, len(starts))
+    workers = min(usable_cores(), len(starts))
 
     def count_correct(share):
         correct = 0
@@ -316,6 +331,7 @@ class TrainResult:
     networks: dict
     optimizers: dict
     history: list = field(default_factory=list)
+    seconds: float = 0.0  # wall time of the training run; written to no output
 
 
 class _Net(NamedTuple):
@@ -393,6 +409,7 @@ def train(variant, dataset, hp, eval_dataset=None, on_epoch=None):
     if variant not in _VARIANTS:
         raise SpecError(f"unknown variant {variant!r}")
     variant_step, variant_nets = _VARIANTS[variant]
+    start = time.perf_counter()
     rng_data = Rng(hp.seed, "data")
     rng_latent = Rng(hp.seed, "latent")
 
@@ -429,4 +446,5 @@ def train(variant, dataset, hp, eval_dataset=None, on_epoch=None):
         if on_epoch is not None:
             on_epoch(row)
 
-    return TrainResult(networks=nets, optimizers=opts, history=history)
+    return TrainResult(networks=nets, optimizers=opts, history=history,
+                       seconds=time.perf_counter() - start)

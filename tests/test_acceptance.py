@@ -3,8 +3,8 @@
 One test per numbered criterion, in order; each prints a single
 ``CRITERION n PASS/FAIL`` line (visible under ``pytest -s`` or in failure
 output) with the measured values next to their tolerances. The synthetic
-study protocol (criteria 5-8) shares one session-scoped run cache so each
-(variant, lambda, seed) cell trains exactly once.
+study protocol (criteria 5-8) shares one session-scoped run cache: its 21
+(variant, lambda, seed) cells train once, up front, on every usable core.
 """
 
 import json
@@ -23,7 +23,8 @@ from ecgan import pgm
 from ecgan.checkpoint import load_checkpoint, save_checkpoint
 from ecgan.data import load_idx, synth_shapes, write_idx
 from ecgan.errors import FormatError
-from ecgan.harness import cmd_generate, cmd_train
+from ecgan.config import ExperimentConfig
+from ecgan.harness import Cell, cmd_generate, cmd_train, run_cells
 from ecgan.networks import (
     LATENT_DIM,
     NetworkSpec,
@@ -309,6 +310,14 @@ def test_criterion_4_pseudo_label_oracle():
 # criteria 5-8: the synthetic study protocol (shared run cache)
 
 
+# The 21 protocol cells: (variant, lambda) per seed, plus one conditional run.
+PROTOCOL_CELLS = [
+    Cell(variant, 100, lam, seed)
+    for seed in SEEDS
+    for variant, lam in (("baseline", 0.0), ("ecgan", 0.1), ("shared", 0.1), ("ecgan", 1.0))
+] + [Cell("ecgan_conditional", 100, 0.1, 0)]
+
+
 @pytest.fixture(scope="session")
 def protocol():
     p = PROTOCOL
@@ -316,16 +325,13 @@ def protocol():
                             seed=p["train_seed"]).subset(range(200))
     test_ds = synth_shapes(167, p["classes"], p["size"], p["noise_sigma"],
                            seed=p["test_seed"]).subset(range(500))
-    cache, wall = {}, {}
+    cfg = ExperimentConfig(hyperparams={"epochs": 15})  # HyperParams(lam, epochs=15, seed) per cell
+    results = run_cells(cfg, train_ds, test_ds, PROTOCOL_CELLS)
+    cache = {(c.variant, c.lam, c.seed): r for c, r in zip(PROTOCOL_CELLS, results)}
+    wall = {key: r.seconds for key, r in cache.items()}
 
     def run(variant, lam, seed):
-        key = (variant, lam, seed)
-        if key not in cache:
-            hp = HyperParams(lam=lam, epochs=15, seed=seed)
-            t0 = time.time()
-            cache[key] = train(variant, train_ds, hp, eval_dataset=test_ds)
-            wall[key] = time.time() - t0
-        return cache[key]
+        return cache[(variant, lam, seed)]
 
     def final_acc(variant, lam, seed):
         return run(variant, lam, seed).history[-1]["test_acc"]

@@ -23,6 +23,23 @@ def tiny_nets(seed=0):
     return {"generator": gen, "classifier": cls}
 
 
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    path = tmp_path / "run.ckpt"
+    C.save_checkpoint(path, tiny_nets(seed=0))
+    old = path.read_bytes()
+
+    def disk_full(*args):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(C.struct, "pack", disk_full)  # after the magic is written
+    with pytest.raises(OSError, match="no space"):
+        C.save_checkpoint(path, tiny_nets(seed=1))
+    assert path.read_bytes() == old
+    with pytest.raises(OSError, match="no space"):
+        C.save_checkpoint(tmp_path / "new.ckpt", tiny_nets(seed=1))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
+
+
 def test_round_trip_bit_exact(tmp_path):
     nets = tiny_nets()
     path = tmp_path / "run.ckpt"

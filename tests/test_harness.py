@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import ecgan.cli as cli
 import ecgan.harness as H
+import ecgan.training as training
 from ecgan import pgm
 from ecgan.checkpoint import save_checkpoint
 from ecgan.config import ExperimentConfig, load_config
@@ -195,7 +197,7 @@ def test_run_id_format():
 def test_metrics_writer_flushes_each_row(tmp_path):
     path = tmp_path / "m.csv"
     w = H._MetricsWriter(str(path))
-    cell = {"run_id": "x", "variant": "baseline", "percent": 100, "lambda": 0.0, "seed": 0}
+    cell = H.Cell("baseline", 100, 0.0, 0)
     row = dict(epoch=0, loss_d=0, loss_g=0, loss_c_sup=1.0, loss_c_unsup=0,
                keep_rate=0, train_acc=0.5, test_acc=0.5)
     w.add(cell, row)
@@ -245,6 +247,117 @@ def test_sweep_cells_enumeration():
     assert aug_flags == {(True, True), (True, False), (False, True), (False, False)}
     with pytest.raises(ContractError, match="axis"):
         H._sweep_cells(cfg, "epochs")
+
+
+# -- run_cells ------------------------------------------------------------------
+
+
+def output_bytes(out_dir):
+    return {p.relative_to(out_dir): p.read_bytes() for p in sorted(Path(out_dir).rglob("*")) if p.is_file()}
+
+
+def set_cores(monkeypatch, n):
+    monkeypatch.setattr(H.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def two_seed_config(tmp_path):
+    return tiny_config(
+        tmp_path, variant="ecgan", lambdas=[0.0, 0.5], seeds=[0, 1],
+        hyperparams={"batch_size": 8, "epochs": 2, "base_width": 8, "depth": 1,
+                     "lr_c": 2e-3, "threshold": 0.4},
+    )
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_outputs_do_not_depend_on_core_count(tmp_path, monkeypatch, command):
+    path, doc = two_seed_config(tmp_path)
+    run = (lambda: H.cmd_train(path)) if command == "train" else (lambda: H.cmd_sweep(path, "lambda"))
+    outputs = {}
+    for cores in (1, 2):
+        set_cores(monkeypatch, cores)
+        assert run() == 0
+        assert multiprocessing.active_children() == []
+        outputs[cores] = output_bytes(doc["output_dir"])
+    assert outputs[1] == outputs[2]
+    names = {p.name for p in outputs[1]}
+    assert {"metrics.csv", "run.json"} <= names
+    assert ("sweep_summary.csv" in names) == (command == "sweep")
+    assert any(name.endswith(".ckpt") for name in names) == (command == "train")
+
+
+def test_cell_divergence_in_a_worker_reaches_caller(tmp_path, monkeypatch):
+    path, doc = two_seed_config(tmp_path)
+    real_train = H.train
+
+    def train(variant, dataset, hp, eval_dataset=None, on_epoch=None):
+        if (variant, hp.lam, hp.seed) != ("ecgan", 0.0, 1):
+            return real_train(variant, dataset, hp, eval_dataset=eval_dataset, on_epoch=on_epoch)
+
+        def diverge_after_first_epoch(row):
+            on_epoch(row)
+            raise TrainingDiverged("classifier loss became non-finite (nan)", step=3)
+
+        return real_train(variant, dataset, hp, eval_dataset=eval_dataset,
+                          on_epoch=diverge_after_first_epoch)
+
+    monkeypatch.setattr(H, "train", train)  # forked workers inherit the patch
+    metrics = {}
+    for cores in (1, 2):
+        set_cores(monkeypatch, cores)
+        with pytest.raises(TrainingDiverged, match=r"non-finite \(nan\) \(step 3\)"):
+            H.cmd_sweep(path, "lambda")
+        assert multiprocessing.active_children() == []
+        assert not os.path.exists(os.path.join(doc["output_dir"], "sweep_summary.csv"))
+        metrics[cores] = read_metrics(doc["output_dir"])
+    # Both baseline seeds and ecgan lambda 0 seed 0 come first in cell order,
+    # then the diverged cell's first epoch.
+    assert [(r["run_id"], r["epoch"]) for r in metrics[2]] == [
+        ("baseline_p100_l0_s0", "0"), ("baseline_p100_l0_s0", "1"),
+        ("baseline_p100_l0_s1", "0"), ("baseline_p100_l0_s1", "1"),
+        ("ecgan_p100_l0_s0", "0"), ("ecgan_p100_l0_s0", "1"),
+        ("ecgan_p100_l0_s1", "0"),
+    ]
+    assert metrics[2] == metrics[1]
+
+
+def test_cell_workers_split_the_cores(tmp_path, monkeypatch):
+    real_train = H.train
+
+    def train(*args, **kwargs):
+        cores = training.usable_cores()
+        if cores != 2:  # raised in the worker, re-raised here
+            raise AssertionError(f"each of two workers on four cores may use 2, not {cores}")
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(H, "train", train)
+    set_cores(monkeypatch, 4)
+    path, _ = tiny_config(tmp_path, seeds=[0, 1])
+    assert H.cmd_train(path) == 0
+
+
+def test_one_cell_trains_in_process(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started for one cell")
+
+    set_cores(monkeypatch, 2)
+    monkeypatch.setattr(H, "ProcessPoolExecutor", no_pool)
+    path, doc = tiny_config(tmp_path)
+    assert H.cmd_train(path) == 0
+    assert len(read_metrics(doc["output_dir"])) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_run_json_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    path, doc = tiny_config(tmp_path)
+
+    def dump_then_fail(obj, f, **kwargs):
+        f.write('{"dataset": ')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(H.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="no space"):
+        H.cmd_train(path)
+    assert os.listdir(doc["output_dir"]) == []
 
 
 # -- generate / eval ----------------------------------------------------------

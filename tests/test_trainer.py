@@ -548,6 +548,9 @@ def test_evaluate_empty_dataset_rejected():
         (dict(batch_size=0), "batch_size"),
         (dict(epochs=0), "batch_size and epochs"),
         (dict(weight_decay=-0.1), "weight_decay"),
+        (dict(lr_c=-0.01), "lr_c"),
+        (dict(lr_g=0.0), "lr_g"),
+        (dict(lr_d=float("nan")), "lr_d"),
     ],
 )
 def test_hyperparams_validation(kwargs, match):
