@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import struct
 
@@ -152,6 +153,34 @@ class Checkpoint:
         return state, self.header["optimizers"][key]
 
 
+# JSON type of each NetworkSpec field in a header; every other field is an int.
+_SPEC_TYPES = {"role": str, "conditional": bool}
+
+
+def _check_header(header):
+    """Raise KeyError, TypeError or ValueError if a field that loading or
+    `Checkpoint` reads is missing or of the wrong kind or value."""
+    for field in ("components", "optimizers", "meta"):
+        if not isinstance(header[field], dict):
+            raise TypeError(f"{field!r} is not an object")
+    for key, info in header["components"].items():
+        fields = info["spec"]
+        if not isinstance(fields, dict):
+            raise TypeError(f"component {key!r} has a spec that is not an object")
+        for name, value in fields.items():
+            if type(value) is not _SPEC_TYPES.get(name, int):
+                raise TypeError(f"component {key!r} has spec field {name!r} = {value!r}")
+        NetworkSpec(**fields)
+        if info["mode"] not in ("train", "eval"):
+            raise ValueError(f"component {key!r} has mode {info['mode']!r}")
+    for rec in header["records"]:
+        name, shape = rec["name"], rec["shape"]
+        if not isinstance(name, str) or not isinstance(shape, list) or not all(
+            type(d) is int and d >= 0 for d in shape
+        ):
+            raise TypeError(f"record {name!r} has shape {shape!r}")
+
+
 def load_checkpoint(path):
     with open(path, "rb") as f:
         buf = f.read()
@@ -166,17 +195,25 @@ def load_checkpoint(path):
         header = json.loads(buf[16 : 16 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: bad header ({e})", offset=16) from None
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is a JSON {type(header).__name__}, not an object", offset=16)
     if header.get("format_version") != FORMAT_VERSION:
         raise FormatError(
             f"{path}: unsupported format version {header.get('format_version')}", offset=16
         )
+    try:
+        _check_header(header)
+    except KeyError as e:
+        raise FormatError(f"{path}: malformed header (no field {e})", offset=16) from None
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"{path}: malformed header ({e})", offset=16) from None
 
     arrays = {}
     pos = 16 + hlen
     for rec in header["records"]:
-        if rec["dtype"] != _RECORD_DTYPE.str:
-            raise FormatError(f"{path}: record {rec['name']!r} has dtype {rec['dtype']}", offset=pos)
-        count = int(np.prod(rec["shape"], dtype=np.int64)) if rec["shape"] else 1
+        if rec.get("dtype") != _RECORD_DTYPE.str:
+            raise FormatError(f"{path}: record {rec['name']!r} has dtype {rec.get('dtype')}", offset=pos)
+        count = math.prod(rec["shape"])  # a Python int: a huge shape cannot wrap around
         nbytes = count * _RECORD_DTYPE.itemsize
         if len(buf) < pos + nbytes:
             raise FormatError(f"{path}: truncated record {rec['name']!r}", offset=len(buf))

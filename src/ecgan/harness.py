@@ -286,26 +286,22 @@ def _sweep_cells(cfg, axis):
     axis value: within one (percent, seed) they are one cell."""
     default_lam = cfg.hyper(seed=cfg.seeds[0]).lam
     base_percent = cfg.dataset_percent[0]
-    cells = []
     if axis == "percent":
-        for percent in cfg.dataset_percent:
-            for variant in SWEEP_VARIANTS:
-                cells.append((f"{percent:g}", variant, percent, default_lam, None, None))
+        points = [(f"{p:g}", p, default_lam, None, None) for p in cfg.dataset_percent]
     elif axis == "lambda":
-        for lam in cfg.lambdas:
-            for variant in SWEEP_VARIANTS:
-                cells.append((f"{lam:g}", variant, base_percent, lam, None, None))
+        points = [(f"{lam:g}", base_percent, lam, None, None) for lam in cfg.lambdas]
     elif axis == "strategy":
-        for aug in (True, False):
-            for dec in (True, False):
-                label = f"aug={'on' if aug else 'off'}+decay={'on' if dec else 'off'}"
-                for variant in SWEEP_VARIANTS:
-                    cells.append((label, variant, base_percent, default_lam, aug, dec))
+        points = [
+            (f"aug={'on' if aug else 'off'}+decay={'on' if dec else 'off'}", base_percent, default_lam, aug, dec)
+            for aug in (True, False)
+            for dec in (True, False)
+        ]
     else:
         raise ContractError(f"unknown sweep axis {axis!r}")
     return [
         (label, variant, percent, 0.0 if variant == "baseline" else lam, aug, dec)
-        for label, variant, percent, lam, aug, dec in cells
+        for label, percent, lam, aug, dec in points
+        for variant in SWEEP_VARIANTS
     ]
 
 

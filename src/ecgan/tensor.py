@@ -7,10 +7,12 @@ numpy ndarrays (row-major); scalars default to 32-bit floats, with a
 64-bit switch used by the gradient-check oracles.
 
 Graphs are recorded implicitly: every op whose inputs require gradients
-attaches a `Node` to its output, and `backward(loss)` orders the nodes
-below the loss topologically and sweeps them once in reverse; gradients
-left over at the end belong to leaves. Gradients accumulate additively
-into `Tensor.grad` until the owner zeroes them.
+attaches a `Node` to its output, and `backward(loss)` orders the tensors
+below the loss topologically and sweeps their nodes once in reverse. Only
+leaves (tensors that require gradients and carry no node) get gradients;
+they accumulate additively into `Tensor.grad` until the owner zeroes them.
+A node holds its inputs and never its output, so a graph has no reference
+cycle: it is freed by reference counting as soon as its last output goes.
 
 Tensors and graphs are confined to a single execution context; nothing in
 here is safe to share across concurrent training runs. The one exception
@@ -106,13 +108,12 @@ class Node:
     ``backward_fn(grad_out)`` returns one gradient array (or None) per input.
     """
 
-    __slots__ = ("op", "inputs", "backward_fn", "out")
+    __slots__ = ("op", "inputs", "backward_fn")
 
-    def __init__(self, op, inputs, backward_fn, out):
+    def __init__(self, op, inputs, backward_fn):
         self.op = op
         self.inputs = inputs
         self.backward_fn = backward_fn
-        self.out = out
 
 
 class Tensor:
@@ -173,58 +174,53 @@ class Tensor:
 def _attach(out, op, inputs, backward_fn):
     if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.node = Node(op, tuple(inputs), backward_fn, out)
+        out.node = Node(op, tuple(inputs), backward_fn)
     return out
 
 
 def _topological_order(root):
-    """Nodes below ``root``, each after the nodes of its inputs."""
-    nodes = []
+    """Tensors below ``root`` that carry a node, each after the ones its node reads."""
+    order = []
     if root.node is None:
-        return nodes
+        return order
     seen = set()
-    stack = [(root.node, False)]
+    stack = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        t, expanded = stack.pop()
         if expanded:
-            nodes.append(node)
+            order.append(t)
             continue
-        if node in seen:
+        if t in seen:
             continue
-        seen.add(node)
-        stack.append((node, True))
-        for t in node.inputs:
-            if t.node is not None and t.node not in seen:
-                stack.append((t.node, False))
-    return nodes
+        seen.add(t)
+        stack.append((t, True))
+        for x in t.node.inputs:
+            if x.node is not None and x not in seen:
+                stack.append((x, False))
+    return order
 
 
 def backward(loss):
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+    """Add the gradient of ``loss`` into ``grad`` of every leaf below it.
 
-    ``loss`` must be a scalar. Gradients add into any existing ``grad``
-    buffers, so repeated calls accumulate until the caller zeroes them.
+    ``loss`` must be a scalar. Leaves are the tensors that require
+    gradients and carry no node; interior tensors get no ``grad``.
+    Gradients add into any existing ``grad`` buffers, so repeated calls
+    accumulate until the caller zeroes them.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {tuple(loss.shape)}")
-    flow = {id(loss): (loss, np.ones_like(loss.data))}  # id(tensor) -> (tensor, gradient)
-    for node in reversed(_topological_order(loss)):
-        entry = flow.pop(id(node.out), None)
-        if entry is None:
+    flow = {loss: np.ones_like(loss.data)}  # tensor -> gradient reaching it so far
+    for t in reversed(_topological_order(loss)):
+        g_out = flow.pop(t, None)
+        if g_out is None:
             continue
-        g_out = entry[1]
-        if node.out.requires_grad:
-            _accumulate(node.out, g_out)
-        for t, g in zip(node.inputs, node.backward_fn(g_out)):
+        for x, g in zip(t.node.inputs, t.node.backward_fn(g_out)):
             if g is None:
                 continue
-            key = id(t)
-            if key in flow:
-                flow[key] = (t, flow[key][1] + g)
-            else:
-                flow[key] = (t, g)
-    # every node output has been popped: what is left belongs to leaves
-    for t, g in flow.values():
+            flow[x] = flow[x] + g if x in flow else g
+    # every tensor with a node has been popped: what is left belongs to leaves
+    for t, g in flow.items():
         if t.requires_grad:
             _accumulate(t, g)
 

@@ -1,5 +1,6 @@
 """Checkpoint format: bit-exact round trips and malformed-file rejection."""
 
+import json
 import struct
 
 import numpy as np
@@ -194,18 +195,61 @@ def test_corrupt_header_json(tmp_path):
     assert exc.value.offset == 16
 
 
-def test_unsupported_version(tmp_path):
-    path, _ = good_bytes(tmp_path)
-    ck = C.load_checkpoint(path)
-    header = dict(ck.header)
-    header["format_version"] = 99
-    import json
-    blob = json.dumps(header, sort_keys=True).encode()
+def rewrite_header(path, edit):
+    """Replace the header of the checkpoint at `path` by `edit(header)`."""
     body = path.read_bytes()
     (hlen,) = struct.unpack("<Q", body[8:16])
+    header = edit(json.loads(body[16 : 16 + hlen]))
+    blob = json.dumps(header, sort_keys=True).encode()
     path.write_bytes(C.MAGIC + struct.pack("<Q", len(blob)) + blob + body[16 + hlen:])
+
+
+def test_unsupported_version(tmp_path):
+    path, _ = good_bytes(tmp_path)
+    rewrite_header(path, lambda h: {**h, "format_version": 99})
     with pytest.raises(FormatError, match="unsupported format version"):
         C.load_checkpoint(path)
+
+
+def _drop_first_record_dtype(h):
+    del h["records"][0]["dtype"]
+    return h
+
+
+def _set_first_record_shape(shape):
+    def edit(h):
+        h["records"][0]["shape"] = shape
+        return h
+
+    return edit
+
+
+def _set_classifier_spec(field, value):
+    def edit(h):
+        h["components"]["classifier"]["spec"][field] = value
+        return h
+
+    return edit
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_drop_first_record_dtype, "has dtype None"),
+    (lambda h: {k: v for k, v in h.items() if k != "records"}, "no field 'records'"),
+    (lambda h: [h], "header is a JSON list"),
+    (_set_classifier_spec("depth", "1"), "spec field 'depth' = '1'"),
+    (_set_classifier_spec("depth", 1.5), "spec field 'depth' = 1.5"),
+    (_set_classifier_spec("depth", 0), "depth must be >= 1"),
+    (_set_classifier_spec("width", 8), "unexpected keyword argument 'width'"),
+    (_set_first_record_shape([2**40, 2**40]), "truncated record"),
+    (_set_first_record_shape([4, -1]), "has shape \\[4, -1\\]"),
+], ids=["record-without-dtype", "no-records", "list-header", "string-depth",
+        "float-depth", "zero-depth", "unknown-spec-field", "huge-shape", "negative-dim"])
+def test_malformed_header_is_format_error(tmp_path, edit, match):
+    path, _ = good_bytes(tmp_path)
+    rewrite_header(path, edit)
+    with pytest.raises(FormatError, match=match) as exc:
+        C.load_checkpoint(path)
+    assert exc.value.offset is not None
 
 
 def test_truncated_record(tmp_path):

@@ -521,6 +521,19 @@ def test_cli_format_error_exit_code(tmp_path, capsys):
     assert "not a checkpoint" in capsys.readouterr().err
 
 
+def test_cli_malformed_checkpoint_exit_code(tmp_path, capsys):
+    ckpt = tmp_path / "c.ckpt"
+    spec = NetworkSpec(role="classifier", image_size=16, channels=1, num_classes=2, base_width=8)
+    save_checkpoint(ckpt, {"classifier": build_network(spec, Rng(0, "init"))})
+    body = ckpt.read_bytes()
+    # the same header length, with the first record's dtype key renamed
+    ckpt.write_bytes(body.replace(b'"dtype"', b'"dtypo"', 1))
+    rc = cli.main(["eval", str(ckpt), "--data", "synth:n_per_class=2,classes=2,size=16,seed=1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "has dtype None" in err
+
+
 def test_cli_os_error_exit_code(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -544,13 +557,30 @@ def test_cli_generate_eval_round_trip(tmp_path, capsys):
 # -- benchmark hooks ------------------------------------------------------------
 
 
+_TRACED_BACKWARD = """
+import numpy as np
+import layers
+from ecgan import tensor as T
+tracer = layers.Tracer()
+layers.install(tracer)
+tracer.op = 0
+x = T.Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
+w = T.Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
+T.backward(T.sum_all(T.conv2d(x, w)))
+print(sorted({span[1] for span in tracer.spans}))
+"""
+
+
 def test_benchmark_tracer_installs():
-    # perfbench/layers.py wraps package functions by name; a renamed or
-    # removed one must fail here, not only when the benchmark runs.
+    # perfbench/layers.py wraps package functions by name, and times an op's
+    # backward by rebinding `Node.backward_fn` on the node the op returns; a
+    # renamed function or a broken backward hook must fail here, not only
+    # when the benchmark runs.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import layers; layers.install(layers.Tracer())"],
+        [sys.executable, "-c", _TRACED_BACKWARD],
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert "'tensor.conv2d.bwd'" in proc.stdout, proc.stdout

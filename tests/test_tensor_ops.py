@@ -64,6 +64,10 @@ def test_shared_subexpression_fans_out():
     x = t([[1.0, -2.0], [0.5, 4.0]])
     h = T.relu(x)
     loss = T.add(T.sum_all(h), T.sum_all(T.tanh(h)))
+    T.backward(loss)
+    r = np.maximum(x.data, 0)
+    np.testing.assert_allclose(x.grad, (x.data > 0) * (1.0 + (1.0 - np.tanh(r) ** 2)), atol=1e-15)
+    assert h.grad is None  # only leaves get gradients
     check_grads(lambda: T.add(T.sum_all(T.relu(x)), T.sum_all(T.tanh(T.relu(x)))), [x], eps=1e-6, tol=1e-7)
 
 

@@ -1,5 +1,6 @@
 """Training-step semantics: pseudo-labels, loss identities, isolation."""
 
+import gc
 import math
 import sys
 import threading
@@ -421,6 +422,31 @@ def test_conditional_variant_networks_and_determinism():
     assert a.networks["discriminator"].spec.conditional
     assert not a.networks["classifier"].spec.conditional
     assert a.history == b.history
+
+
+@pytest.mark.parametrize("variant", TR.VARIANTS)
+def test_epoch_graphs_free_without_cyclic_gc(variant):
+    """No autodiff graph is part of a reference cycle: with the cyclic GC
+    off, every step's tensors and nodes go by reference counting alone."""
+    ds = tiny_dataset(2, seed=26)
+    hp = HyperParams(lam=0.1, batch_size=6, epochs=1, base_width=8, depth=1)
+    gc.collect()
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        # a network is a cycle of its own (through `_Bn.net`), which this
+        # test does not cover: keep the result alive past the collection
+        result = train(variant, ds, hp, eval_dataset=ds)
+        gc.collect()
+        del result
+        cyclic = [type(o).__name__ for o in gc.garbage if isinstance(o, (T.Tensor, T.Node))]
+        assert cyclic == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
 
 
 def test_train_rejects_unknown_variant():
