@@ -1,13 +1,16 @@
-"""Single-file binary checkpoints for networks and optimizer state.
+"""Single-file binary checkpoints of trained networks.
 
 Layout: 8-byte magic "ECGANCK1", a little-endian u64 header length, a
 UTF-8 JSON header, then raw record payloads in header order. The header
-carries the format version, each component's network spec, and a
+carries the format version, each component's network spec and mode, and a
 manifest of (name, shape, dtype) for every record. Float records are
 little-endian float32; round-trips are bit-exact.
 
-Record names are "<component>/<parameter>" for networks and
-"opt:<component>/<m|v>/<parameter>" for optimizer moments.
+Format 2 holds networks only: one "<component>/<parameter>" record per
+parameter and running statistic. Version-1 files still load with the same
+code. Their "optimizers" field and "opt:<component>/<m|v>/<parameter>"
+Adam moments are read past: `build` takes only a component's own records,
+and no command resumes training.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .networks import NetworkSpec, build_network
 from .tensor import Rng
 
 MAGIC = b"ECGANCK1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _RECORD_DTYPE = np.dtype("<f4")
 
@@ -47,22 +50,13 @@ def atomic_open(path, mode="w", **kwargs):
         raise
 
 
-def save_checkpoint(path, networks, optimizers=None, meta=None):
-    """Write named networks (dict role_key -> Network) and optional optimizers.
+def save_checkpoint(path, networks, meta=None):
+    """Write named networks (dict role_key -> Network).
 
-    `optimizers` maps the same keys to Adam instances; `meta` is a small
-    JSON-serializable dict (hyperparameters, epoch counters, ...). The file
-    appears at `path` only once complete (`atomic_open`).
+    `meta` is a small JSON-serializable dict (run id, final metrics,
+    config). The file appears at `path` only once complete (`atomic_open`).
     """
-    optimizers = optimizers or {}
     records = []  # (record_name, contiguous little-endian array)
-
-    def put(name, array):
-        arr = np.ascontiguousarray(array)
-        if arr.dtype != np.float32:
-            raise ContractError(f"record {name!r} has unsupported dtype {arr.dtype}")
-        records.append((name, arr.astype(_RECORD_DTYPE, copy=False)))
-
     components = {}
     for key, net in networks.items():
         components[key] = {
@@ -70,26 +64,14 @@ def save_checkpoint(path, networks, optimizers=None, meta=None):
             "mode": net.mode,
         }
         for pname, tensor in net.parameters():
-            put(f"{key}/{pname}", tensor.data)
-
-    opt_meta = {}
-    for key, opt in optimizers.items():
-        if key not in networks:
-            raise ContractError(f"optimizer {key!r} has no matching network")
-        opt_meta[key] = {
-            "lr": opt.lr,
-            "beta1": opt.beta1,
-            "beta2": opt.beta2,
-            "eps": opt.eps,
-            "step_count": opt.step_count,
-        }
-        for sname, arr in opt.state().items():
-            put(f"opt:{key}/{sname}", arr)
+            name, arr = f"{key}/{pname}", np.ascontiguousarray(tensor.data)
+            if arr.dtype != np.float32:
+                raise ContractError(f"record {name!r} has unsupported dtype {arr.dtype}")
+            records.append((name, arr.astype(_RECORD_DTYPE, copy=False)))
 
     header = {
         "format_version": FORMAT_VERSION,
         "components": components,
-        "optimizers": opt_meta,
         "meta": meta or {},
         "records": [
             {"name": n, "shape": list(a.shape), "dtype": a.dtype.str} for n, a in records
@@ -119,9 +101,6 @@ class Checkpoint:
     def meta(self):
         return self.header["meta"]
 
-    def spec(self, key):
-        return NetworkSpec(**self.components[key]["spec"])
-
     def roles(self):
         return {key: info["spec"]["role"] for key, info in self.components.items()}
 
@@ -133,7 +112,7 @@ class Checkpoint:
 
     def build(self, key):
         """Reconstruct one network with its saved parameters."""
-        net = build_network(self.spec(key), Rng(0, f"restore/{key}"))
+        net = build_network(NetworkSpec(**self.components[key]["spec"]), Rng(0, f"restore/{key}"))
         prefix = f"{key}/"
         state = {
             n[len(prefix):]: a for n, a in self.arrays.items() if n.startswith(prefix)
@@ -141,16 +120,6 @@ class Checkpoint:
         net.load_state(state)
         net.mode = self.components[key]["mode"]
         return net
-
-    def optimizer_state(self, key):
-        """(moment arrays keyed m/<name> and v/<name>, metadata dict)."""
-        if key not in self.header["optimizers"]:
-            raise ContractError(f"checkpoint holds no optimizer state for {key!r}")
-        prefix = f"opt:{key}/"
-        state = {
-            n[len(prefix):]: a for n, a in self.arrays.items() if n.startswith(prefix)
-        }
-        return state, self.header["optimizers"][key]
 
 
 # JSON type of each NetworkSpec field in a header; every other field is an int.
@@ -160,7 +129,7 @@ _SPEC_TYPES = {"role": str, "conditional": bool}
 def _check_header(header):
     """Raise KeyError, TypeError or ValueError if a field that loading or
     `Checkpoint` reads is missing or of the wrong kind or value."""
-    for field in ("components", "optimizers", "meta"):
+    for field in ("components", "meta"):
         if not isinstance(header[field], dict):
             raise TypeError(f"{field!r} is not an object")
     for key, info in header["components"].items():
@@ -197,7 +166,7 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: bad header ({e})", offset=16) from None
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is a JSON {type(header).__name__}, not an object", offset=16)
-    if header.get("format_version") != FORMAT_VERSION:
+    if header.get("format_version") not in (1, FORMAT_VERSION):  # 1 adds unused Adam moments
         raise FormatError(
             f"{path}: unsupported format version {header.get('format_version')}", offset=16
         )

@@ -141,6 +141,10 @@ class ExperimentConfig:
         for s in self.seeds:
             if not isinstance(s, int) or isinstance(s, bool):
                 raise ConfigError(f"seeds entries must be integers, got {s!r}")
+        for key in ("dataset_percent", "lambdas", "seeds"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{key} has duplicate entries: {values}")
 
     def hyper(self, seed, lam=None, augment=None, decay=None):
         """Materialize HyperParams for one run cell."""

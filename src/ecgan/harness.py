@@ -7,11 +7,13 @@ metrics.csv collects one row per epoch per cell; sweep_summary.csv holds
 mean/stddev of final test accuracy over seeds. Outputs contain no
 timestamps, so a rerun of the same config is byte-identical. Cells train on
 every usable core (`run_cells`) and outputs are written in cell order, so
-they do not depend on the core count either.
+they do not depend on the core count either. `run.json` is written last: an
+output directory without it holds an unfinished run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import functools
@@ -245,13 +247,26 @@ def _save_cell_checkpoint(out_dir, cell, result, cfg):
         "final": result.history[-1] if result.history else {},
         "config": cfg.resolved(),
     }
-    save_checkpoint(path, result.networks, result.optimizers, meta=meta)
-    return path
+    save_checkpoint(path, result.networks, meta=meta)
 
 
-def _write_run_json(out_dir, doc):
-    with atomic_open(os.path.join(out_dir, "run.json")) as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
+@contextlib.contextmanager
+def _run_outputs(out_dir, run_doc):
+    """Give the block a fresh metrics.csv writer in `out_dir`, and write
+    `run_doc` to `run.json` once the block ends without error. A previous
+    run's `run.json` is removed first, so an output directory without one
+    holds an unfinished run."""
+    os.makedirs(out_dir, exist_ok=True)
+    run_json = os.path.join(out_dir, "run.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(run_json)
+    writer = _MetricsWriter(os.path.join(out_dir, "metrics.csv"))
+    try:
+        yield writer
+    finally:
+        writer.close()
+    with atomic_open(run_json) as f:
+        json.dump(run_doc, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -260,19 +275,14 @@ def cmd_train(config_path, seed_override=None):
     cfg = load_config(config_path)
     if seed_override is not None:
         cfg.seeds = [seed_override]
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_run_json(cfg.output_dir, cfg.resolved())
     train_ds, test_ds = load_datasets(cfg.dataset)
     lam = cfg.hyper(seed=cfg.seeds[0]).lam
     cells = [Cell(cfg.variant, percent, lam, seed) for percent in cfg.dataset_percent for seed in cfg.seeds]
-    writer = _MetricsWriter(os.path.join(cfg.output_dir, "metrics.csv"))
-    try:
+    with _run_outputs(cfg.output_dir, cfg.resolved()) as writer:
         run_cells(
             cfg, train_ds, test_ds, cells, writer=writer,
             on_result=lambda cell, result: _save_cell_checkpoint(cfg.output_dir, cell, result, cfg),
         )
-    finally:
-        writer.close()
     return 0
 
 
@@ -314,30 +324,25 @@ def cmd_sweep(config_path, axis, seed_override=None):
     cfg = load_config(config_path)
     if seed_override is not None:
         cfg.seeds = [seed_override]
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_run_json(cfg.output_dir, {"axis": axis, "config": cfg.resolved()})
     train_ds, test_ds = load_datasets(cfg.dataset)
     groups = [
         (label, variant, [Cell(variant, percent, lam, seed, aug, dec) for seed in cfg.seeds])
         for label, variant, percent, lam, aug, dec in _sweep_cells(cfg, axis)
     ]
     cells = list(dict.fromkeys(cell for _, _, group in groups for cell in group))
-    writer = _MetricsWriter(os.path.join(cfg.output_dir, "metrics.csv"))
-    try:
+    with _run_outputs(cfg.output_dir, {"axis": axis, "config": cfg.resolved()}) as writer:
         results = run_cells(cfg, train_ds, test_ds, cells, writer=writer)
-    finally:
-        writer.close()
-    final = {cell: result.history[-1]["test_acc"] for cell, result in zip(cells, results)}
-    summary_rows = []
-    for label, variant, group in groups:
-        finals = [final[cell] for cell in group]
-        mean = float(np.mean(finals))
-        std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
-        summary_rows.append([axis, label, variant, len(finals), fmt(mean), fmt(std)])
-    with atomic_open(os.path.join(cfg.output_dir, "sweep_summary.csv"), newline="") as f:
-        w = csv.writer(f)
-        w.writerow(SUMMARY_FIELDS)
-        w.writerows(summary_rows)
+        final = {cell: result.history[-1]["test_acc"] for cell, result in zip(cells, results)}
+        summary_rows = []
+        for label, variant, group in groups:
+            finals = [final[cell] for cell in group]
+            mean = float(np.mean(finals))
+            std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
+            summary_rows.append([axis, label, variant, len(finals), fmt(mean), fmt(std)])
+        with atomic_open(os.path.join(cfg.output_dir, "sweep_summary.csv"), newline="") as f:
+            w = csv.writer(f)
+            w.writerow(SUMMARY_FIELDS)
+            w.writerows(summary_rows)
     return 0
 
 
@@ -365,40 +370,52 @@ def cmd_generate(ckpt_path, n, out_path, class_idx=None, seed=0):
     return 0
 
 
+# Per data spec source: each key it takes and its default, whose type a
+# given value is read as; None marks a required path. Unset synth keys draw
+# the corpus that configs train and test on.
+_SPEC_DEFAULTS = {
+    "synth": {
+        "n_per_class": _SYNTH_DEFAULTS["test_per_class"], "classes": _SYNTH_DEFAULTS["classes"],
+        "size": _SYNTH_DEFAULTS["size"], "noise_sigma": _SYNTH_DEFAULTS["noise_sigma"],
+        "seed": _SYNTH_DEFAULTS["data_seed"],
+    },
+    "idx": {"images": None, "labels": None},
+    "dir": {"root": None, **_DIR_DEFAULTS},
+}
+
+
 def parse_data_spec(spec_text):
     """Dataset from 'synth:key=value,...', 'idx:images=..,labels=..' or
-    'dir:root=..,size=..'."""
+    'dir:root=..,size=..'. An unknown key, a value of the wrong type or a
+    missing path is a ContractError."""
     if ":" not in spec_text:
         raise ContractError(f"data spec needs 'source:key=value,...', got {spec_text!r}")
     source, _, rest = spec_text.partition(":")
-    kv = {}
+    if source not in _SPEC_DEFAULTS:
+        raise ContractError(f"unknown data source {source!r}")
+    kv = dict(_SPEC_DEFAULTS[source])
     for part in filter(None, rest.split(",")):
         if "=" not in part:
             raise ContractError(f"bad data spec field {part!r}")
         k, _, v = part.partition("=")
-        kv[k] = v
+        if k not in kv:
+            raise ContractError(f"unknown {source} data spec key {k!r}")
+        default = _SPEC_DEFAULTS[source][k]
+        kind = str if default is None else type(default)
+        try:
+            kv[k] = kind(v)
+        except ValueError:
+            raise ContractError(f"data spec field {part!r}: expected {kind.__name__}") from None
+    missing = [k for k, v in kv.items() if v is None]
+    if missing:
+        raise ContractError(f"{source} data spec needs {missing[0]}=")
     if source == "synth":
-        defaults = _SYNTH_DEFAULTS  # the corpus that configs train and test on
         return synth_shapes(
-            int(kv.get("n_per_class", defaults["test_per_class"])),
-            int(kv.get("classes", defaults["classes"])),
-            int(kv.get("size", defaults["size"])),
-            noise_sigma=float(kv.get("noise_sigma", defaults["noise_sigma"])),
-            seed=int(kv.get("seed", defaults["data_seed"])),
+            kv["n_per_class"], kv["classes"], kv["size"], noise_sigma=kv["noise_sigma"], seed=kv["seed"]
         )
     if source == "idx":
-        for req in ("images", "labels"):
-            if req not in kv:
-                raise ContractError(f"idx data spec needs {req}=")
         return load_idx(kv["images"], kv["labels"])
-    if source == "dir":
-        if "root" not in kv:
-            raise ContractError("dir data spec needs root=")
-        return load_image_dir(
-            kv["root"], int(kv.get("size", _DIR_DEFAULTS["size"])),
-            channels=int(kv.get("channels", _DIR_DEFAULTS["channels"])),
-        )
-    raise ContractError(f"unknown data source {source!r}")
+    return load_image_dir(kv["root"], kv["size"], channels=kv["channels"])
 
 
 def cmd_eval(ckpt_path, data_spec):

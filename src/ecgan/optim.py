@@ -70,23 +70,3 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-    def state(self):
-        """Named arrays for checkpointing (moments; step count separate)."""
-        out = {}
-        for n, _ in self.params:
-            out[f"m/{n}"] = self.m[n].copy()
-            out[f"v/{n}"] = self.v[n].copy()
-        return out
-
-    def load_state(self, state, step_count):
-        for n, p in self.params:
-            for kind, store in (("m", self.m), ("v", self.v)):
-                key = f"{kind}/{n}"
-                if key not in state:
-                    raise ContractError(f"optimizer state missing {key!r}")
-                arr = np.asarray(state[key], dtype=p.data.dtype)
-                if arr.shape != p.data.shape:
-                    raise ContractError(f"optimizer state {key!r} has shape {arr.shape}")
-                store[n][...] = arr
-        self.step_count = int(step_count)

@@ -149,12 +149,8 @@ def discriminator_step(d, g, real_images, opt_d, rng, step=0, labels=None):
     with no_grad():
         fake = g.forward(lv.values, update_stats=False)
     fake = fake.detach()
-    if conditional:
-        p_real = d.forward(real_images, labels=labels)
-        p_fake = d.forward(fake, labels=lv.conditional_class)
-    else:
-        p_real = d.forward(real_images)
-        p_fake = d.forward(fake)
+    p_real = d.forward(real_images, labels=labels if conditional else None)
+    p_fake = d.forward(fake, labels=lv.conditional_class)
     loss = add(bce(p_real, 1.0), bce(p_fake, 0.0))
     value = _check_finite(loss.item(), step, "discriminator loss")
     opt_d.zero_grad()
@@ -169,13 +165,9 @@ def generator_step(g, d, batch_size, opt_g, rng, step=0):
     Gradients flow through D but only G's parameters move; D's batch-norm
     running stats are frozen during the fake forward.
     """
-    conditional = d.spec.conditional
-    lv = _draw_latent(batch_size, d.spec.num_classes, conditional, rng)
+    lv = _draw_latent(batch_size, d.spec.num_classes, d.spec.conditional, rng)
     fake = g.forward(lv.values)
-    if conditional:
-        p_fake = d.forward(fake, labels=lv.conditional_class, update_stats=False)
-    else:
-        p_fake = d.forward(fake, update_stats=False)
+    p_fake = d.forward(fake, labels=lv.conditional_class, update_stats=False)
     loss = bce(p_fake, 1.0)
     value = _check_finite(loss.item(), step, "generator loss")
     opt_g.zero_grad()
@@ -329,7 +321,6 @@ def evaluate(net, dataset, batch_size=16):
 @dataclass
 class TrainResult:
     networks: dict
-    optimizers: dict
     history: list = field(default_factory=list)
     seconds: float = 0.0  # wall time of the training run; written to no output
 
@@ -370,7 +361,7 @@ def _baseline_step(nets, opts, batch, hp, rng, step):
 
 
 # Per variant: the per-minibatch step and the networks it trains, in the
-# order of the networks/optimizers dicts (and so of the checkpoint records).
+# order of the networks dict (and so of the checkpoint records).
 # The table holds the private wrappers, never discriminator_step & co.:
 # those are looked up by name at call time, so rebinding one on the module
 # (as tracers and tests do) takes effect.
@@ -401,7 +392,7 @@ def _epoch_means(steps):
 
 
 def train(variant, dataset, hp, eval_dataset=None, on_epoch=None):
-    """Run one training job; returns networks, optimizers, and per-epoch history.
+    """Run one training job; returns the trained networks and per-epoch history.
 
     History rows carry epoch means of the step losses and keep rate plus
     train/test accuracy. `on_epoch`, when given, is called with each row.
@@ -446,5 +437,4 @@ def train(variant, dataset, hp, eval_dataset=None, on_epoch=None):
         if on_epoch is not None:
             on_epoch(row)
 
-    return TrainResult(networks=nets, optimizers=opts, history=history,
-                       seconds=time.perf_counter() - start)
+    return TrainResult(networks=nets, history=history, seconds=time.perf_counter() - start)

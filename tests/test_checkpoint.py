@@ -13,7 +13,6 @@ from ecgan.networks import (
     build_network,
     latent,
 )
-from ecgan.optim import Adam
 from ecgan.tensor import Rng, no_grad
 
 
@@ -69,41 +68,6 @@ def test_round_trip_preserves_running_stats(tmp_path):
         np.testing.assert_array_equal(q.data, state[name].data)
 
 
-def test_round_trip_optimizer_state(tmp_path):
-    nets = tiny_nets()
-    cls = nets["classifier"]
-    opt = Adam(cls.trainable_parameters(), lr=1e-3)
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        for _, p in opt.params:
-            p.grad = rng.normal(size=p.data.shape).astype(p.data.dtype)
-        opt.step()
-    path = tmp_path / "run.ckpt"
-    C.save_checkpoint(path, nets, optimizers={"classifier": opt})
-
-    ck = C.load_checkpoint(path)
-    state, meta = ck.optimizer_state("classifier")
-    assert meta["step_count"] == 3
-    assert meta["lr"] == 1e-3
-    rebuilt = ck.build("classifier")
-    opt2 = Adam(rebuilt.trainable_parameters(), meta["lr"], betas=(meta["beta1"], meta["beta2"]))
-    opt2.load_state(state, meta["step_count"])
-    for name in opt.m:
-        np.testing.assert_array_equal(opt.m[name], opt2.m[name])
-        np.testing.assert_array_equal(opt.v[name], opt2.v[name])
-
-    # Same gradient after restore -> identical next step on both copies.
-    grads = {n: rng.normal(size=p.data.shape).astype(p.data.dtype) for n, p in opt.params}
-    for n, p in opt.params:
-        p.grad = grads[n]
-    for n, p in opt2.params:
-        p.grad = grads[n].copy()
-    opt.step()
-    opt2.step()
-    for (n, p), (_, q) in zip(opt.params, opt2.params):
-        np.testing.assert_array_equal(p.data, q.data)
-
-
 def test_rebuilt_network_forward_identical(tmp_path):
     nets = tiny_nets()
     path = tmp_path / "run.ckpt"
@@ -135,21 +99,6 @@ def test_roles_and_component_lookup(tmp_path):
     assert ck.component_for_role("generator") == "generator"
     with pytest.raises(ContractError, match="no discriminator"):
         ck.component_for_role("discriminator")
-
-
-def test_optimizer_without_network_rejected(tmp_path):
-    nets = tiny_nets()
-    opt = Adam(nets["classifier"].trainable_parameters(), 1e-3)
-    with pytest.raises(ContractError, match="no matching network"):
-        C.save_checkpoint(tmp_path / "x.ckpt", {"generator": nets["generator"]},
-                          optimizers={"classifier": opt})
-
-
-def test_missing_optimizer_state_rejected(tmp_path):
-    path = tmp_path / "run.ckpt"
-    C.save_checkpoint(path, tiny_nets())
-    with pytest.raises(ContractError, match="no optimizer state"):
-        C.load_checkpoint(path).optimizer_state("classifier")
 
 
 # -- malformed files ----------------------------------------------------------
@@ -209,6 +158,42 @@ def test_unsupported_version(tmp_path):
     rewrite_header(path, lambda h: {**h, "format_version": 99})
     with pytest.raises(FormatError, match="unsupported format version"):
         C.load_checkpoint(path)
+
+
+def test_version_1_file_loads_without_its_adam_moments(tmp_path):
+    # Version 1 also stored each network's Adam moments as opt: records.
+    path, _ = good_bytes(tmp_path)
+    name, p = tiny_nets()["classifier"].trainable_parameters()[0]
+    moment = np.full(p.data.shape, 7.0, dtype="<f4")
+
+    def to_version_1(h):
+        h["format_version"] = 1
+        h["optimizers"] = {"classifier": {
+            "lr": 2e-4, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step_count": 1,
+        }}
+        h["records"].append({"name": f"opt:classifier/m/{name}", "shape": list(moment.shape), "dtype": "<f4"})
+        return h
+
+    rewrite_header(path, to_version_1)
+    with open(path, "ab") as f:
+        f.write(moment.tobytes())
+    ck = C.load_checkpoint(path)
+    assert ck.header["format_version"] == 1
+    for key, net in tiny_nets().items():
+        rebuilt = ck.build(key)
+        assert [n for n, _ in rebuilt.parameters()] == [n for n, _ in net.parameters()]
+        for (_, p), (_, q) in zip(net.parameters(), rebuilt.parameters()):
+            assert p.data.dtype == q.data.dtype and p.data.tobytes() == q.data.tobytes()
+
+
+def test_new_file_is_version_2_with_networks_only(tmp_path):
+    path, _ = good_bytes(tmp_path)
+    ck = C.load_checkpoint(path)
+    assert ck.header["format_version"] == C.FORMAT_VERSION == 2
+    assert "optimizers" not in ck.header
+    assert sorted(ck.arrays) == sorted(
+        f"{key}/{name}" for key, net in tiny_nets().items() for name, _ in net.parameters()
+    )
 
 
 def _drop_first_record_dtype(h):

@@ -15,7 +15,7 @@ import ecgan.cli as cli
 import ecgan.harness as H
 import ecgan.training as training
 from ecgan import pgm
-from ecgan.checkpoint import save_checkpoint
+from ecgan.checkpoint import load_checkpoint, save_checkpoint
 from ecgan.config import ExperimentConfig, load_config
 from ecgan.data import synth_shapes
 from ecgan.errors import ConfigError, ContractError, TrainingDiverged
@@ -98,6 +98,9 @@ def test_hyper_maps_lambda_key_and_toggles():
         ({"seeds": []}, "seeds"),
         ({"seeds": [1.5]}, "integers"),
         ({"seeds": [True]}, "integers"),
+        ({"seeds": [0, 0]}, "seeds has duplicate entries"),
+        ({"lambdas": [0.1, 0.1]}, "lambdas has duplicate entries"),
+        ({"dataset_percent": [50, 50.0]}, "dataset_percent has duplicate entries"),
     ],
 )
 def test_config_validation(tmp_path, overrides, match):
@@ -161,6 +164,17 @@ def test_cmd_train_outputs(tmp_path):
     run_doc = json.load(open(os.path.join(out, "run.json")))
     assert run_doc["variant"] == "baseline"
     assert run_doc["hyperparams"]["lambda"] == 0.1
+
+
+def test_cmd_train_checkpoint_holds_networks_only(tmp_path):
+    path, doc = tiny_config(tmp_path, variant="ecgan")
+    assert H.cmd_train(path) == 0
+    ck = load_checkpoint(os.path.join(doc["output_dir"], "checkpoints", "ecgan_p100_l0.1_s0.ckpt"))
+    assert set(ck.components) == {"classifier", "generator", "discriminator"}
+    assert "optimizers" not in ck.header
+    assert sorted(ck.arrays) == sorted(
+        f"{key}/{name}" for key in ck.components for name, _ in ck.build(key).parameters()
+    )
 
 
 def test_cmd_train_rerun_byte_identical(tmp_path):
@@ -308,6 +322,7 @@ def test_cell_divergence_in_a_worker_reaches_caller(tmp_path, monkeypatch):
             H.cmd_sweep(path, "lambda")
         assert multiprocessing.active_children() == []
         assert not os.path.exists(os.path.join(doc["output_dir"], "sweep_summary.csv"))
+        assert not os.path.exists(os.path.join(doc["output_dir"], "run.json"))
         metrics[cores] = read_metrics(doc["output_dir"])
     # Both baseline seeds and ecgan lambda 0 seed 0 come first in cell order,
     # then the diverged cell's first epoch.
@@ -357,7 +372,31 @@ def test_failed_run_json_write_leaves_no_partial_file(tmp_path, monkeypatch):
     monkeypatch.setattr(H.json, "dump", dump_then_fail)
     with pytest.raises(OSError, match="no space"):
         H.cmd_train(path)
-    assert os.listdir(doc["output_dir"]) == []
+    names = os.listdir(doc["output_dir"])
+    assert "run.json" not in names and "run.json.tmp" not in names
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "rerun"])
+def test_diverged_train_leaves_no_run_json(tmp_path, monkeypatch, rerun):
+    path, doc = tiny_config(tmp_path, seeds=[0, 1])
+    out = doc["output_dir"]
+    set_cores(monkeypatch, 1)
+    if rerun:
+        assert H.cmd_train(path) == 0
+        assert os.path.exists(os.path.join(out, "run.json"))
+    real_train = H.train
+
+    def train(variant, dataset, hp, **kwargs):
+        if hp.seed == 1:
+            raise TrainingDiverged("classifier loss became non-finite (nan)", step=0)
+        return real_train(variant, dataset, hp, **kwargs)
+
+    monkeypatch.setattr(H, "train", train)
+    with pytest.raises(TrainingDiverged):
+        H.cmd_train(path)
+    assert not os.path.exists(os.path.join(out, "run.json"))
+    assert os.path.exists(os.path.join(out, "checkpoints", "baseline_p100_l0.1_s0.ckpt"))
+    assert {r["seed"] for r in read_metrics(out)} == {"0"}
 
 
 # -- generate / eval ----------------------------------------------------------
@@ -463,6 +502,20 @@ def test_parse_data_spec():
         H.parse_data_spec("dir:size=16")
 
 
+@pytest.mark.parametrize("spec, match", [
+    ("synth:classes=abc", "'classes=abc': expected int"),
+    ("synth:n_per_class=2.5", "'n_per_class=2.5': expected int"),
+    ("synth:noise_sigma=x", "'noise_sigma=x': expected float"),
+    ("synth:n_per_clas=2", "unknown synth data spec key 'n_per_clas'"),
+    ("synth:root=x", "unknown synth data spec key 'root'"),
+    ("idx:images=a,labels=b,size=16", "unknown idx data spec key 'size'"),
+    ("dir:root=a,size=big", "'size=big': expected int"),
+])
+def test_parse_data_spec_rejects_what_it_cannot_use(spec, match):
+    with pytest.raises(ContractError, match=match):
+        H.parse_data_spec(spec)
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -532,6 +585,16 @@ def test_cli_malformed_checkpoint_exit_code(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "has dtype None" in err
+
+
+@pytest.mark.parametrize("data", ["synth:classes=abc", "synth:n_per_clas=2"])
+def test_cli_bad_data_spec_exit_code(tmp_path, capsys, data):
+    ckpt = tmp_path / "c.ckpt"
+    spec = NetworkSpec(role="classifier", image_size=16, channels=1, num_classes=3, base_width=8)
+    save_checkpoint(ckpt, {"classifier": build_network(spec, Rng(0, "init"))})
+    assert cli.main(["eval", str(ckpt), "--data", data]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_os_error_exit_code(tmp_path, capsys):

@@ -193,61 +193,3 @@ def test_decay_keeps_grad_dtype():
         p.grad = np.ones(2, dtype=np.float32)
         apply_weight_decay([("fc.w", p)], 0.001)
         assert p.grad.dtype == np.float32
-
-
-# -- state round trip -------------------------------------------------------
-
-
-def test_state_round_trip_bit_exact():
-    rng = np.random.default_rng(2)
-    params = [(f"p{i}", Tensor(rng.normal(size=(3,)), requires_grad=True)) for i in range(3)]
-    opt = Adam(params, lr=0.01)
-    for _ in range(4):
-        for _, p in params:
-            p.grad = rng.normal(size=(3,))
-        opt.step()
-
-    snap = opt.state()
-    count = opt.step_count
-    frozen = {n: p.data.copy() for n, p in params}
-    next_grads = {n: rng.normal(size=(3,)) for n, _ in params}
-
-    for _, p in params:
-        p.grad = next_grads[[n for n, q in params if q is p][0]]
-    opt.step()
-    after_once = {n: p.data.copy() for n, p in params}
-
-    # Rebuild from the snapshot and replay the same step.
-    params2 = [(n, Tensor(frozen[n].copy(), requires_grad=True)) for n, _ in params]
-    opt2 = Adam(params2, lr=0.01)
-    opt2.load_state(snap, count)
-    for n, p in params2:
-        p.grad = next_grads[n].copy()
-    opt2.step()
-    for n, p in params2:
-        np.testing.assert_array_equal(p.data, after_once[n])
-
-
-def test_state_copies_are_independent():
-    name, p = _param([1.0])
-    opt = Adam([(name, p)], lr=0.1)
-    p.grad = np.ones(1)
-    opt.step()
-    snap = opt.state()
-    snap["m/w"][...] = 999.0
-    assert opt.m["w"][0] != 999.0
-
-
-def test_load_state_missing_key_raises():
-    name, p = _param([1.0])
-    opt = Adam([(name, p)], lr=0.1)
-    with pytest.raises(ContractError, match="missing"):
-        opt.load_state({"m/w": np.zeros(1)}, step_count=1)
-
-
-def test_load_state_shape_mismatch_raises():
-    name, p = _param([1.0, 2.0])
-    opt = Adam([(name, p)], lr=0.1)
-    bad = {"m/w": np.zeros(3), "v/w": np.zeros(2)}
-    with pytest.raises(ContractError, match="shape"):
-        opt.load_state(bad, step_count=1)
