@@ -238,7 +238,7 @@ SCALE_RANGE = (0.40, 0.60)  # uniform range of the per-sample size parameter
 EDGE_SOFTNESS = 0.25  # outline transition width; keeps pixel densities smooth
 FG_RANGE = (0.75, 0.95)  # foreground intensity, drawn per sample
 BG_RANGE = (0.05, 0.15)  # background intensity, drawn per sample
-NOISE_SIGMA = 0.105  # default pixel noise; also the configs' corpus (config._SYNTH_DEFAULTS)
+NOISE_SIGMA = 0.105  # default pixel noise, of `synth` data specs and configs alike (SOURCES)
 
 
 def _render_shape(kind, cx, cy, xs, ys, rng, size):
@@ -316,6 +316,36 @@ def synth_shapes(n_per_class, num_classes, size, noise_sigma=NOISE_SIGMA, seed=0
             labels[i] = k
             i += 1
     return Dataset(images, labels, num_classes, name=f"synth_shapes_k{num_classes}_s{size}")
+
+
+# ---------------------------------------------------------------------------
+# sources
+
+# Per source: the name of its loader in this module, and its data-spec keys
+# with their defaults in the loader's positional order. A given value must
+# have its key's default's type (`value_type`). Configs take the same keys and
+# defaults for their train and test splits (`config.split_specs`).
+SOURCES = {
+    "synth": ("synth_shapes", {
+        "n_per_class": 100, "classes": 3, "size": 32, "noise_sigma": NOISE_SIGMA, "seed": 0,
+    }),
+    "idx": ("load_idx", {"images": None, "labels": None}),
+    "dir": ("load_image_dir", {"root": None, "size": 32, "channels": 1}),
+}
+
+
+def value_type(default):
+    """The type a value given for a key must have: its default's; a None
+    default marks a required path string."""
+    return str if default is None else type(default)
+
+
+def load_source(source, spec):
+    """Dataset from a complete data spec of `SOURCES[source]`. The loader is
+    looked up by name at call time, so a wrapper bound to that name on this
+    module (as tracers do) is the one that runs."""
+    loader, defaults = SOURCES[source]
+    return globals()[loader](*(spec[key] for key in defaults))
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ import numpy as np
 
 from . import pgm, training
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
-from .config import _DIR_DEFAULTS, _SYNTH_DEFAULTS, load_config
-from .data import denormalize, load_idx, load_image_dir, subsample, synth_shapes
+from .config import load_config, split_specs
+from .data import SOURCES, denormalize, load_source, subsample, value_type
 from .errors import ContractError, DataError, TrainingDiverged
-from .networks import balanced_labels, conditional_latent, latent
+from .networks import conditional_latent, draw_latent
 from .tensor import Rng, no_grad
 from .training import evaluate, train, usable_cores
 
@@ -49,27 +49,14 @@ def fmt(x):
 
 
 def load_datasets(dataset_cfg):
-    """(train, test) datasets for a config's dataset block."""
+    """(train, test) datasets for a config's dataset block. Synth draws the
+    test split from the data seed after the training split's."""
     source = dataset_cfg["source"]
+    train_spec, test_spec = split_specs(dataset_cfg)
     if source == "synth":
-        train_ds = synth_shapes(
-            dataset_cfg["train_per_class"], dataset_cfg["classes"], dataset_cfg["size"],
-            noise_sigma=dataset_cfg["noise_sigma"], seed=dataset_cfg["data_seed"],
-        )
-        test_ds = synth_shapes(
-            dataset_cfg["test_per_class"], dataset_cfg["classes"], dataset_cfg["size"],
-            noise_sigma=dataset_cfg["noise_sigma"], seed=dataset_cfg["data_seed"] + 1,
-        )
-    elif source == "idx":
-        train_ds = load_idx(dataset_cfg["images"], dataset_cfg["labels"])
-        test_ds = load_idx(dataset_cfg["test_images"], dataset_cfg["test_labels"])
-    else:
-        train_ds = load_image_dir(
-            dataset_cfg["root"], dataset_cfg["size"], channels=dataset_cfg["channels"]
-        )
-        test_ds = load_image_dir(
-            dataset_cfg["test_root"], dataset_cfg["size"], channels=dataset_cfg["channels"]
-        )
+        test_spec["seed"] += 1
+    train_ds = load_source(source, train_spec)
+    test_ds = load_source(source, test_spec)
     if train_ds.num_classes != test_ds.num_classes:
         raise DataError(
             f"train has {train_ds.num_classes} classes but test has {test_ds.num_classes}"
@@ -358,50 +345,34 @@ def cmd_generate(ckpt_path, n, out_path, class_idx=None, seed=0):
     if class_idx is not None:
         if not spec.conditional:
             raise ContractError("--class given but the checkpointed generator is unconditional")
-        labels = np.full(n, class_idx, dtype=np.int64)
-        lv = conditional_latent(labels, spec.num_classes, rng)
-    elif spec.conditional:
-        lv = conditional_latent(balanced_labels(n, spec.num_classes), spec.num_classes, rng)
+        lv = conditional_latent(np.full(n, class_idx, dtype=np.int64), spec.num_classes, rng)
     else:
-        lv = latent(n, rng)
+        lv = draw_latent(n, spec.num_classes, spec.conditional, rng)
     with no_grad():
         images = gen.forward(lv.values)
     pgm.write_grid(out_path, denormalize(images.data))
     return 0
 
 
-# Per data spec source: each key it takes and its default, whose type a
-# given value is read as; None marks a required path. Unset synth keys draw
-# the corpus that configs train and test on.
-_SPEC_DEFAULTS = {
-    "synth": {
-        "n_per_class": _SYNTH_DEFAULTS["test_per_class"], "classes": _SYNTH_DEFAULTS["classes"],
-        "size": _SYNTH_DEFAULTS["size"], "noise_sigma": _SYNTH_DEFAULTS["noise_sigma"],
-        "seed": _SYNTH_DEFAULTS["data_seed"],
-    },
-    "idx": {"images": None, "labels": None},
-    "dir": {"root": None, **_DIR_DEFAULTS},
-}
-
-
 def parse_data_spec(spec_text):
     """Dataset from 'synth:key=value,...', 'idx:images=..,labels=..' or
-    'dir:root=..,size=..'. An unknown key, a value of the wrong type or a
-    missing path is a ContractError."""
+    'dir:root=..,size=..'; unset keys take their `data.SOURCES` defaults, so
+    synth draws the corpus that configs train and test on. An unknown key, a
+    value of the wrong type or a missing path is a ContractError."""
     if ":" not in spec_text:
         raise ContractError(f"data spec needs 'source:key=value,...', got {spec_text!r}")
     source, _, rest = spec_text.partition(":")
-    if source not in _SPEC_DEFAULTS:
+    if source not in SOURCES:
         raise ContractError(f"unknown data source {source!r}")
-    kv = dict(_SPEC_DEFAULTS[source])
+    _, defaults = SOURCES[source]
+    kv = dict(defaults)
     for part in filter(None, rest.split(",")):
         if "=" not in part:
             raise ContractError(f"bad data spec field {part!r}")
         k, _, v = part.partition("=")
         if k not in kv:
             raise ContractError(f"unknown {source} data spec key {k!r}")
-        default = _SPEC_DEFAULTS[source][k]
-        kind = str if default is None else type(default)
+        kind = value_type(defaults[k])
         try:
             kv[k] = kind(v)
         except ValueError:
@@ -409,13 +380,7 @@ def parse_data_spec(spec_text):
     missing = [k for k, v in kv.items() if v is None]
     if missing:
         raise ContractError(f"{source} data spec needs {missing[0]}=")
-    if source == "synth":
-        return synth_shapes(
-            kv["n_per_class"], kv["classes"], kv["size"], noise_sigma=kv["noise_sigma"], seed=kv["seed"]
-        )
-    if source == "idx":
-        return load_idx(kv["images"], kv["labels"])
-    return load_image_dir(kv["root"], kv["size"], channels=kv["channels"])
+    return load_source(source, kv)
 
 
 def cmd_eval(ckpt_path, data_spec):

@@ -121,6 +121,13 @@ def conditional_latent(labels, num_classes, rng):
     return LatentVector(Tensor(z), conditional_class=labels)
 
 
+def draw_latent(n, num_classes, conditional, rng):
+    """n latent draws; conditional ones cycle through the classes (`balanced_labels`)."""
+    if conditional:
+        return conditional_latent(balanced_labels(n, num_classes), num_classes, rng)
+    return latent(n, rng)
+
+
 class Network:
     """Base: a named, ordered parameter registry plus a train/eval mode."""
 

@@ -24,15 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import batches
+from .data import batches, normalize
 from .errors import ContractError, SpecError, TrainingDiverged
-from .networks import (
-    NetworkSpec,
-    balanced_labels,
-    build_network,
-    conditional_latent,
-    latent,
-)
+from .networks import NetworkSpec, build_network, draw_latent
 from .optim import Adam, apply_weight_decay
 from .tensor import (
     Rng,
@@ -130,12 +124,6 @@ def _check_finite(value, step, what):
     return float(value)
 
 
-def _draw_latent(n, num_classes, conditional, rng):
-    if conditional:
-        return conditional_latent(balanced_labels(n, num_classes), num_classes, rng)
-    return latent(n, rng)
-
-
 def discriminator_step(d, g, real_images, opt_d, rng, step=0, labels=None):
     """One Adam step on D for BCE(D(x),1) + BCE(D(G(z)),0).
 
@@ -145,7 +133,7 @@ def discriminator_step(d, g, real_images, opt_d, rng, step=0, labels=None):
     """
     n = real_images.shape[0]
     conditional = d.spec.conditional
-    lv = _draw_latent(n, d.spec.num_classes, conditional, rng)
+    lv = draw_latent(n, d.spec.num_classes, conditional, rng)
     with no_grad():
         fake = g.forward(lv.values, update_stats=False)
     fake = fake.detach()
@@ -165,7 +153,7 @@ def generator_step(g, d, batch_size, opt_g, rng, step=0):
     Gradients flow through D but only G's parameters move; D's batch-norm
     running stats are frozen during the fake forward.
     """
-    lv = _draw_latent(batch_size, d.spec.num_classes, d.spec.conditional, rng)
+    lv = draw_latent(batch_size, d.spec.num_classes, d.spec.conditional, rng)
     fake = g.forward(lv.values)
     p_fake = d.forward(fake, labels=lv.conditional_class, update_stats=False)
     loss = bce(p_fake, 1.0)
@@ -192,7 +180,7 @@ def classifier_step(c, g, batch, hp, opt_c, rng, step=0):
     loss = sup
     if hp.lam > 0 and g is not None:
         n = batch.images.shape[0]
-        lv = _draw_latent(n, c.spec.num_classes, g.spec.conditional, rng)
+        lv = draw_latent(n, c.spec.num_classes, g.spec.conditional, rng)
         with no_grad():
             fake = g.forward(lv.values, update_stats=False)
         logits_fake = c.forward(fake.detach(), update_stats=False)
@@ -228,7 +216,7 @@ def shared_step(sd, g, batch, hp, opt_sd, opt_g, rng, step=0):
     loss_d_value = 0.0
     if hp.lam > 0:
         n = batch.images.shape[0]
-        lv = _draw_latent(n, sd.spec.num_classes, False, rng)
+        lv = draw_latent(n, sd.spec.num_classes, False, rng)
         with no_grad():
             fake = g.forward(lv.values, update_stats=False)
         _, p_fake = sd.forward(fake.detach(), update_stats=False)
@@ -248,7 +236,7 @@ def shared_step(sd, g, batch, hp, opt_sd, opt_g, rng, step=0):
     apply_weight_decay(sd.trainable_parameters(), hp.weight_decay)
     opt_sd.step()
 
-    lv2 = _draw_latent(batch.images.shape[0], sd.spec.num_classes, False, rng)
+    lv2 = draw_latent(batch.images.shape[0], sd.spec.num_classes, False, rng)
     fake2 = g.forward(lv2.values)
     _, p_fake2 = sd.forward(fake2, update_stats=False)
     loss_g = bce(p_fake2, 1.0)
@@ -298,7 +286,7 @@ def evaluate(net, dataset, batch_size=16):
         correct = 0
         for start in share:
             chunk = slice(start, start + batch_size)
-            logits = net.class_logits(Tensor(dataset.images[chunk] * 2.0 - 1.0))
+            logits = net.class_logits(Tensor(normalize(dataset.images[chunk])))
             correct += int((logits.data.argmax(axis=1) == dataset.labels[chunk]).sum())
         return correct
 

@@ -1,6 +1,10 @@
 """Dataset containers, IDX/image-dir loading, synthetic shapes, transforms."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +296,19 @@ def test_synth_shapes_noise_matches_sigma():
 def test_synth_shapes_validation(kwargs, match):
     with pytest.raises(SpecError, match=match):
         synth_shapes(**kwargs)
+
+
+def test_preview_script_writes_the_default_corpus(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "preview.pgm"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "preview_data.py"), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    grid = pgm.read_image(str(out))
+    assert grid.shape == (5 * 32, 5 * 32)  # 8 per class x 3 classes, 5 x 5 tiles of 32 px
+    np.testing.assert_array_equal(grid, pgm.tile_grid(synth_shapes(8, 3, 32, noise_sigma=0.105, seed=0).images))
 
 
 # -- transforms --------------------------------------------------------------

@@ -17,7 +17,7 @@ import ecgan.training as training
 from ecgan import pgm
 from ecgan.checkpoint import load_checkpoint, save_checkpoint
 from ecgan.config import ExperimentConfig, load_config
-from ecgan.data import synth_shapes
+from ecgan.data import synth_shapes, write_idx
 from ecgan.errors import ConfigError, ContractError, TrainingDiverged
 from ecgan.networks import NetworkSpec, build_network
 from ecgan.tensor import Rng
@@ -101,6 +101,15 @@ def test_hyper_maps_lambda_key_and_toggles():
         ({"seeds": [0, 0]}, "seeds has duplicate entries"),
         ({"lambdas": [0.1, 0.1]}, "lambdas has duplicate entries"),
         ({"dataset_percent": [50, 50.0]}, "dataset_percent has duplicate entries"),
+        # Run ids and summary labels print percents and lambdas with :g.
+        ({"lambdas": []}, "lambdas must be non-empty"),
+        ({"lambdas": [0.1, 0.1000001]}, "lambdas has duplicate entries"),
+        ({"dataset_percent": [50, 50.0000001]}, "dataset_percent has duplicate entries"),
+        # A given value must have its default's type.
+        ({"hyperparams": {"epochs": True}}, "hyperparams.epochs: expected int, got bool"),
+        ({"dataset": {"source": "synth", "noise_sigma": "x"}}, "dataset.noise_sigma: expected float, got str"),
+        ({"dataset": {"source": "dir", "root": 1, "test_root": "b"}}, "dataset.root: expected str, got int"),
+        ({"augment": 1}, "config.augment: expected bool, got int"),
     ],
 )
 def test_config_validation(tmp_path, overrides, match):
@@ -143,6 +152,8 @@ def test_synth_defaults_filled():
     assert cfg.dataset["classes"] == 4
     assert cfg.dataset["train_per_class"] == 100
     assert cfg.dataset["noise_sigma"] == 0.105
+    # An int passes for a float default.
+    assert ExperimentConfig(dataset={"source": "synth", "noise_sigma": 0}).dataset["noise_sigma"] == 0
 
 
 # -- cmd_train ----------------------------------------------------------------
@@ -502,6 +513,50 @@ def test_parse_data_spec():
         H.parse_data_spec("dir:size=16")
 
 
+def write_split_files(tmp_path, rng):
+    """Per split, an IDX pair and a PGM directory of the same 8x8 images;
+    the train and test splits hold different images."""
+    splits = {}
+    for split, n in (("train", 6), ("test", 4)):
+        pixels = rng.integers(0, 256, (n, 8, 8), dtype=np.uint8)
+        labels = np.arange(n) % 2
+        write_idx(tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx",
+                  pixels[:, None] / 255.0, labels)
+        root = tmp_path / split
+        root.mkdir()
+        for i, img in enumerate(pixels):
+            pgm.write_pgm(root / f"{i}.pgm", img)
+        (root / "labels.csv").write_text(
+            "filename,label\n" + "".join(f"{i}.pgm,{label}\n" for i, label in enumerate(labels)))
+        splits[split] = pixels[:, None] / np.float32(255.0), labels
+    return splits
+
+
+def test_idx_and_dir_sources_load_each_split(tmp_path, rng):
+    splits = write_split_files(tmp_path, rng)
+    idx = ExperimentConfig(dataset={
+        "source": "idx",
+        "images": str(tmp_path / "train-images.idx"), "labels": str(tmp_path / "train-labels.idx"),
+        "test_images": str(tmp_path / "test-images.idx"), "test_labels": str(tmp_path / "test-labels.idx"),
+    })
+    image_dir = ExperimentConfig(dataset={
+        "source": "dir", "root": str(tmp_path / "train"), "test_root": str(tmp_path / "test"), "size": 8,
+    })
+    for cfg in (idx, image_dir):
+        train_ds, test_ds = H.load_datasets(cfg.dataset)
+        for ds, split in ((train_ds, "train"), (test_ds, "test")):
+            images, labels = splits[split]
+            np.testing.assert_array_equal(ds.images, images)
+            np.testing.assert_array_equal(ds.labels, labels)
+    for spec in (
+        f"idx:images={tmp_path / 'test-images.idx'},labels={tmp_path / 'test-labels.idx'}",
+        f"dir:root={tmp_path / 'test'},size=8",
+    ):
+        ds = H.parse_data_spec(spec)
+        np.testing.assert_array_equal(ds.images, splits["test"][0])
+        np.testing.assert_array_equal(ds.labels, splits["test"][1])
+
+
 @pytest.mark.parametrize("spec, match", [
     ("synth:classes=abc", "'classes=abc': expected int"),
     ("synth:n_per_class=2.5", "'n_per_class=2.5': expected int"),
@@ -620,30 +675,42 @@ def test_cli_generate_eval_round_trip(tmp_path, capsys):
 # -- benchmark hooks ------------------------------------------------------------
 
 
-_TRACED_BACKWARD = """
+_TRACED_CALLS = """
+import json
 import numpy as np
 import layers
-from ecgan import tensor as T
+from ecgan import harness, tensor as T
+from ecgan.config import ExperimentConfig
 tracer = layers.Tracer()
 layers.install(tracer)
 tracer.op = 0
 x = T.Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
 w = T.Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
 T.backward(T.sum_all(T.conv2d(x, w)))
-print(sorted({span[1] for span in tracer.spans}))
+tracer.op = 1
+harness.parse_data_spec("synth:n_per_class=1,classes=2,size=16")
+tracer.op = 2
+harness.load_datasets(ExperimentConfig(dataset={
+    "source": "synth", "train_per_class": 1, "test_per_class": 1, "classes": 2, "size": 16,
+}).dataset)
+print(json.dumps([[span[1] for span in tracer.spans if span[0] == op] for op in range(3)]))
 """
 
 
 def test_benchmark_tracer_installs():
     # perfbench/layers.py wraps package functions by name, and times an op's
     # backward by rebinding `Node.backward_fn` on the node the op returns; a
-    # renamed function or a broken backward hook must fail here, not only
-    # when the benchmark runs.
+    # renamed function, a loader called through a reference the wrapper does
+    # not replace, or a broken backward hook must fail here, not only when
+    # the benchmark runs.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_BACKWARD],
+        [sys.executable, "-c", _TRACED_CALLS],
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "'tensor.conv2d.bwd'" in proc.stdout, proc.stdout
+    backward, spec, config = json.loads(proc.stdout)
+    assert "tensor.conv2d.bwd" in backward, backward
+    assert spec.count("data.synth_shapes") == 1, spec
+    assert config.count("data.synth_shapes") == 2, config
