@@ -9,6 +9,8 @@ Seed precedence: --seed flag, then the ECGAN_SEED environment variable,
 then the config file (or the generate default of 0). Errors print one
 `error: ...` line on stderr and exit nonzero: 2 for configuration and
 format problems, 1 for runtime failures such as divergence.
+
+OpenBLAS runs every GEMM on the calling thread (`processes.one_blas_thread`).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import (
     SpecError,
     TrainingDiverged,
 )
+from .processes import one_blas_thread
 
 _USAGE_ERRORS = (ConfigError, ContractError, DataError, FormatError,
                  InvalidLabelError, ShapeError, SpecError)
@@ -81,6 +84,7 @@ def _resolve_seed(flag_value):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    one_blas_thread()
     try:
         if args.command == "train":
             return harness.cmd_train(args.config, seed_override=_resolve_seed(args.seed))

@@ -177,6 +177,8 @@ def load_image_dir(root, size, channels=1):
     replicated across channels when 3 are requested, color averaged when
     1 is requested.
     """
+    if channels not in (1, 3):
+        raise DataError(f"channels must be 1 or 3, got {channels}")
     manifest = os.path.join(root, "labels.csv")
     if not os.path.exists(manifest):
         raise DataError(f"missing manifest {manifest}")

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import ctypes
 import functools
 import json
-import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple
@@ -31,6 +29,7 @@ from .config import load_config, split_specs
 from .data import SOURCES, denormalize, load_source, subsample, value_type
 from .errors import ContractError, DataError, TrainingDiverged
 from .networks import conditional_latent, draw_latent
+from .processes import FORK, one_blas_thread
 from .tensor import Rng, no_grad
 from .training import evaluate, train, usable_cores
 
@@ -114,38 +113,11 @@ def run_cell(cfg, train_ds, test_ds, cell, on_epoch=None):
     return train(cell.variant, cell_ds, hp, eval_dataset=test_ds, on_epoch=on_epoch)
 
 
-# The call that sizes OpenBLAS's thread pool, by build: numpy's wheels
-# rename the library's symbols, a system OpenBLAS does not.
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
-
-
 def _start_worker(core_budget):
-    """Keep a forked cell worker to its share of the cores.
-
-    `evaluate` gets `core_budget` threads and OpenBLAS one. A forked child
-    restarts the parent's OpenBLAS pool, sized for every core; beside the
-    other workers those threads wait for a core at every GEMM, and the
-    cells' GEMMs are too small for a second thread to speed them up. The
-    library is found among this process's mappings; without
-    /proc/self/maps or an OpenBLAS only `evaluate` is limited.
-    """
+    """Keep a forked cell worker to its share of the cores: `evaluate` gets
+    `core_budget` threads and OpenBLAS one."""
     training.core_budget = core_budget
-    try:
-        with open("/proc/self/maps") as f:
-            libraries = {line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line}
-    except OSError:
-        return
-    for path in libraries:
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:  # a mapping that is no loadable library, e.g. "(deleted)"
-            continue
-        for name in _BLAS_THREAD_SETTERS:
-            if hasattr(library, name):
-                setter = getattr(library, name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
+    one_blas_thread()
 
 
 def _train_in_worker(cfg, train_ds, test_ds, cell):
@@ -197,12 +169,9 @@ def run_cells(cfg, train_ds, test_ds, cells, writer=None, on_result=None):
     core_budget = cores // workers
     submit_order = sorted(range(len(cells)), key=lambda i: _SUBMIT_RANK.get(cells[i].variant, 0))
     # The workers fork at the first submit, before the pool's manager thread
-    # starts, and `evaluate` joins its threads before it returns: no Python
-    # thread of this process can hold a lock the children inherit. Forking
-    # hands them the imported package, with any wrapper bound on its modules.
+    # starts (see `processes` on forking).
     pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker, initargs=(core_budget,),
+        workers, mp_context=FORK, initializer=_start_worker, initargs=(core_budget,),
     )
     try:
         futures = {

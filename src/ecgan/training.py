@@ -9,13 +9,24 @@ generator, kept only where the classifier's own max softmax probability
 exceeds the threshold, labeled by argmax. lambda = 0 degenerates exactly
 to supervised training.
 
+The classifier is external: it reads the generator's output, but neither
+GAN player reads the classifier. An ecgan run is therefore a GAN half
+that yields, per step, the D and G losses and the classifier's fakes
+(drawn after that step's G update), and a classifier half that consumes
+them. The D -> G -> C order is a data dependency, not a schedule: with two
+or more usable cores the GAN half runs in a forked child beside the
+classifier half, and the results are the same bytes as on one core.
+
 Randomness is split into independent named streams (data order and
 augmentation, per-network init, latent draws) derived from one seed, so
-variants sharing a seed see identical real-data batches.
+variants sharing a seed see identical real-data batches. Each half of an
+ecgan run reads the data stream from its own copy.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +39,7 @@ from .data import batches, normalize
 from .errors import ContractError, SpecError, TrainingDiverged
 from .networks import NetworkSpec, build_network, draw_latent
 from .optim import Adam, apply_weight_decay
+from .processes import ChildStream
 from .tensor import (
     Rng,
     Tensor,
@@ -164,26 +176,31 @@ def generator_step(g, d, batch_size, opt_g, rng, step=0):
     return value
 
 
-def classifier_step(c, g, batch, hp, opt_c, rng, step=0):
+def classifier_fakes(g, n, rng):
+    """The classifier's batch of `n` fakes: latents from `rng` through G
+    under no_grad, leaving G's running stats untouched; detached."""
+    lv = draw_latent(n, g.spec.num_classes, g.spec.conditional, rng)
+    with no_grad():
+        fake = g.forward(lv.values, update_stats=False)
+    return fake.detach()
+
+
+def classifier_step(c, fakes, batch, hp, opt_c, step=0):
     """One Adam step on C for CE(C(x),y) + lambda * CE on kept fakes.
 
     Pseudo-labels come from C's start-of-step parameters; a single
-    combined backward updates C once. Generated images are detached from
-    G, and their forward through C does not touch C's running stats, so
-    lambda = 0 and an empty keep set both reproduce the supervised step
-    exactly. lambda = 0 or no generator (`g` None) skips generation entirely.
+    combined backward updates C once. The fakes' forward through C does
+    not touch C's running stats, so an empty keep set reproduces the
+    supervised step exactly. `fakes` None (lambda = 0, or no generator)
+    is the supervised step.
     """
     logits_real = c.forward(batch.images)
     sup = cross_entropy(logits_real, batch.labels)
     unsup_value = 0.0
     keep_rate = 0.0
     loss = sup
-    if hp.lam > 0 and g is not None:
-        n = batch.images.shape[0]
-        lv = draw_latent(n, c.spec.num_classes, g.spec.conditional, rng)
-        with no_grad():
-            fake = g.forward(lv.values, update_stats=False)
-        logits_fake = c.forward(fake.detach(), update_stats=False)
+    if fakes is not None:
+        logits_fake = c.forward(fakes, update_stats=False)
         result = pseudo_label(logits_fake, hp.threshold)
         keep_rate = result.keep_rate
         if result.count:
@@ -323,17 +340,36 @@ class _Net(NamedTuple):
     conditional: bool = False
 
 
-def _ecgan_step(nets, opts, batch, hp, rng, step):
-    loss_d = discriminator_step(
-        nets["discriminator"], nets["generator"], batch.images,
-        opts["discriminator"], rng, step=step, labels=batch.labels,
-    )
-    loss_g = generator_step(
-        nets["generator"], nets["discriminator"], len(batch), opts["generator"], rng, step=step,
-    )
-    sup, unsup, keep = classifier_step(
-        nets["classifier"], nets["generator"], batch, hp, opts["classifier"], rng, step=step,
-    )
+def _minibatches(dataset, hp):
+    """(epoch, step, batch) for every minibatch of a run, shuffled (and
+    augmented) from the caller's own copy of the run's data stream."""
+    rng = Rng(hp.seed, "data")
+    step = itertools.count()
+    for epoch in range(hp.epochs):
+        for batch in batches(dataset, hp.batch_size, rng, augment=hp.augment):
+            yield epoch, next(step), batch
+
+
+def _gan_half(nets, opts, dataset, hp):
+    """The GAN half of an ecgan run: per minibatch the D step, the G step
+    and, with lambda > 0, the classifier's fakes, drawing from the latent
+    stream in that order. Yields (loss_d, loss_g, fakes or None)."""
+    g, d = nets["generator"], nets["discriminator"]
+    rng = Rng(hp.seed, "latent")
+    for _, step, batch in _minibatches(dataset, hp):
+        loss_d = discriminator_step(d, g, batch.images, opts["discriminator"], rng, step=step, labels=batch.labels)
+        loss_g = generator_step(g, d, len(batch), opts["generator"], rng, step=step)
+        yield loss_d, loss_g, classifier_fakes(g, len(batch), rng) if hp.lam > 0 else None
+
+
+def _latent_stream(nets, opts, dataset, hp):
+    """The shared and baseline steps draw what latents they need themselves."""
+    return itertools.repeat(Rng(hp.seed, "latent"))
+
+
+def _classifier_half(nets, opts, batch, hp, gan, step):
+    loss_d, loss_g, fakes = gan
+    sup, unsup, keep = classifier_step(nets["classifier"], fakes, batch, hp, opts["classifier"], step=step)
     return StepMetrics(loss_d, loss_g, sup, unsup, keep)
 
 
@@ -344,25 +380,37 @@ def _shared_variant_step(nets, opts, batch, hp, rng, step):
 
 
 def _baseline_step(nets, opts, batch, hp, rng, step):
-    sup, _, _ = classifier_step(nets["classifier"], None, batch, hp, opts["classifier"], rng, step=step)
+    sup, _, _ = classifier_step(nets["classifier"], None, batch, hp, opts["classifier"], step=step)
     return StepMetrics(loss_c_sup=sup)
 
 
-# Per variant: the per-minibatch step and the networks it trains, in the
-# order of the networks dict (and so of the checkpoint records).
+class _Variant(NamedTuple):
+    """How a variant trains: `feed(nets, opts, dataset, hp)` gives one item
+    per minibatch, and `step(nets, opts, batch, hp, item, step)` makes that
+    minibatch's update and returns its StepMetrics."""
+
+    feed: object
+    step: object
+    nets: tuple  # its networks, in the order of the networks dict and so of the checkpoint records
+    fed: tuple = ()  # keys of the networks `feed` trains; such a feed may run in a child process
+
+
 # The table holds the private wrappers, never discriminator_step & co.:
 # those are looked up by name at call time, so rebinding one on the module
 # (as tracers and tests do) takes effect.
 _CLASSIFIER = _Net("classifier", "classifier", "lr_c", CLS_BETAS)
 _GENERATOR = _Net("generator", "generator", "lr_g", GAN_BETAS)
 _DISCRIMINATOR = _Net("discriminator", "discriminator", "lr_d", GAN_BETAS)
+_GAN_NETS = ("generator", "discriminator")
 _VARIANTS = {
-    "ecgan": (_ecgan_step, (_CLASSIFIER, _GENERATOR, _DISCRIMINATOR)),
-    "shared": (_shared_variant_step, (_GENERATOR, _Net("shared", "shared_discriminator", "lr_c", CLS_BETAS))),
-    "baseline": (_baseline_step, (_CLASSIFIER,)),
-    "ecgan_conditional": (_ecgan_step, (
-        _CLASSIFIER, _GENERATOR._replace(conditional=True), _DISCRIMINATOR._replace(conditional=True),
+    "ecgan": _Variant(_gan_half, _classifier_half, (_CLASSIFIER, _GENERATOR, _DISCRIMINATOR), _GAN_NETS),
+    "shared": _Variant(_latent_stream, _shared_variant_step, (
+        _GENERATOR, _Net("shared", "shared_discriminator", "lr_c", CLS_BETAS),
     )),
+    "baseline": _Variant(_latent_stream, _baseline_step, (_CLASSIFIER,)),
+    "ecgan_conditional": _Variant(_gan_half, _classifier_half, (
+        _CLASSIFIER, _GENERATOR._replace(conditional=True), _DISCRIMINATOR._replace(conditional=True),
+    ), _GAN_NETS),
 }
 VARIANTS = tuple(_VARIANTS)
 
@@ -379,22 +427,36 @@ def _epoch_means(steps):
     return {name: sums[name] / len(steps) for name in names}
 
 
+@contextlib.contextmanager
+def _feed(recipe, nets, opts, dataset, hp):
+    """The variant's feed. One that trains networks runs in a forked child
+    when this process may use two cores or more; once the block has read
+    every item, those networks' final state is loaded back here."""
+    feed = recipe.feed(nets, opts, dataset, hp)
+    if not recipe.fed or usable_cores() < 2:
+        yield feed
+        return
+    with ChildStream(feed, lambda: {key: nets[key].state() for key in recipe.fed}) as child:
+        yield child
+        for key, state in child.result().items():
+            nets[key].load_state(state)
+
+
 def train(variant, dataset, hp, eval_dataset=None, on_epoch=None):
     """Run one training job; returns the trained networks and per-epoch history.
 
     History rows carry epoch means of the step losses and keep rate plus
     train/test accuracy. `on_epoch`, when given, is called with each row.
+    An error is the one a one-core run raises first, after the same rows.
     """
     if variant not in _VARIANTS:
         raise SpecError(f"unknown variant {variant!r}")
-    variant_step, variant_nets = _VARIANTS[variant]
+    recipe = _VARIANTS[variant]
     start = time.perf_counter()
-    rng_data = Rng(hp.seed, "data")
-    rng_latent = Rng(hp.seed, "latent")
 
     nets = {}
     opts = {}
-    for net in variant_nets:
+    for net in recipe.nets:
         spec = NetworkSpec(
             role=net.role,
             image_size=dataset.image_size,
@@ -409,20 +471,17 @@ def train(variant, dataset, hp, eval_dataset=None, on_epoch=None):
 
     classifier = nets["classifier"] if "classifier" in nets else nets["shared"]
     history = []
-    step = 0
-    for epoch in range(hp.epochs):
-        steps = []
-        for batch in batches(dataset, hp.batch_size, rng_data, augment=hp.augment):
-            steps.append(variant_step(nets, opts, batch, hp, rng_latent, step))
-            step += 1
-        row = {
-            "epoch": epoch,
-            **_epoch_means(steps),
-            "train_acc": evaluate(classifier, dataset),
-            "test_acc": evaluate(classifier, eval_dataset) if eval_dataset else float("nan"),
-        }
-        history.append(row)
-        if on_epoch is not None:
-            on_epoch(row)
+    with _feed(recipe, nets, opts, dataset, hp) as feed:
+        for epoch, minibatches in itertools.groupby(_minibatches(dataset, hp), key=lambda m: m[0]):
+            steps = [recipe.step(nets, opts, batch, hp, next(feed), step) for _, step, batch in minibatches]
+            row = {
+                "epoch": epoch,
+                **_epoch_means(steps),
+                "train_acc": evaluate(classifier, dataset),
+                "test_acc": evaluate(classifier, eval_dataset) if eval_dataset else float("nan"),
+            }
+            history.append(row)
+            if on_epoch is not None:
+                on_epoch(row)
 
     return TrainResult(networks=nets, history=history, seconds=time.perf_counter() - start)

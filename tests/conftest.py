@@ -20,3 +20,18 @@ settings.load_profile("default")
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def set_cores(monkeypatch, n):
+    """Have `training.usable_cores()` see `n` cores, through the affinity set."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def count_gan_children(monkeypatch):
+    """A list that gets one entry for each GAN half `training.train` forks."""
+    from ecgan import training
+
+    started = []
+    real = training.ChildStream
+    monkeypatch.setattr(training, "ChildStream", lambda *a: started.append(1) or real(*a))
+    return started

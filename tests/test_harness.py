@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import count_gan_children, set_cores
 
 import ecgan.cli as cli
 import ecgan.harness as H
@@ -18,7 +19,7 @@ from ecgan import pgm
 from ecgan.checkpoint import load_checkpoint, save_checkpoint
 from ecgan.config import ExperimentConfig, load_config
 from ecgan.data import synth_shapes, write_idx
-from ecgan.errors import ConfigError, ContractError, TrainingDiverged
+from ecgan.errors import ConfigError, ContractError, DataError, TrainingDiverged
 from ecgan.networks import NetworkSpec, build_network
 from ecgan.tensor import Rng
 
@@ -281,33 +282,33 @@ def output_bytes(out_dir):
     return {p.relative_to(out_dir): p.read_bytes() for p in sorted(Path(out_dir).rglob("*")) if p.is_file()}
 
 
-def set_cores(monkeypatch, n):
-    monkeypatch.setattr(H.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def two_seed_config(tmp_path):
+def two_seed_config(tmp_path, seeds=(0, 1)):
     return tiny_config(
-        tmp_path, variant="ecgan", lambdas=[0.0, 0.5], seeds=[0, 1],
+        tmp_path, variant="ecgan", lambdas=[0.0, 0.5], seeds=list(seeds),
         hyperparams={"batch_size": 8, "epochs": 2, "base_width": 8, "depth": 1,
                      "lr_c": 2e-3, "threshold": 0.4},
     )
 
 
-@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("command", ["train", "train_one_seed", "sweep"])
 def test_outputs_do_not_depend_on_core_count(tmp_path, monkeypatch, command):
-    path, doc = two_seed_config(tmp_path)
-    run = (lambda: H.cmd_train(path)) if command == "train" else (lambda: H.cmd_sweep(path, "lambda"))
+    # Two cells train in two workers, each on one core; one ecgan cell trains
+    # here, with its GAN half in a forked child.
+    path, doc = two_seed_config(tmp_path, seeds=[0] if command == "train_one_seed" else [0, 1])
+    run = (lambda: H.cmd_sweep(path, "lambda")) if command == "sweep" else (lambda: H.cmd_train(path))
+    gan_children = count_gan_children(monkeypatch)
     outputs = {}
     for cores in (1, 2):
         set_cores(monkeypatch, cores)
         assert run() == 0
         assert multiprocessing.active_children() == []
         outputs[cores] = output_bytes(doc["output_dir"])
+    assert len(gan_children) == (command == "train_one_seed")
     assert outputs[1] == outputs[2]
     names = {p.name for p in outputs[1]}
     assert {"metrics.csv", "run.json"} <= names
     assert ("sweep_summary.csv" in names) == (command == "sweep")
-    assert any(name.endswith(".ckpt") for name in names) == (command == "train")
+    assert any(name.endswith(".ckpt") for name in names) == (command != "sweep")
 
 
 def test_cell_divergence_in_a_worker_reaches_caller(tmp_path, monkeypatch):
@@ -569,6 +570,24 @@ def test_idx_and_dir_sources_load_each_split(tmp_path, rng):
 def test_parse_data_spec_rejects_what_it_cannot_use(spec, match):
     with pytest.raises(ContractError, match=match):
         H.parse_data_spec(spec)
+
+
+@pytest.mark.parametrize("channels", [0, 2])
+def test_dir_spec_takes_one_or_three_channels(tmp_path, capsys, channels):
+    # A PGM beside a PPM: any other count ended in numpy's ValueError on
+    # stacking them, which the CLI does not turn into an error line.
+    pgm.write_pgm(tmp_path / "a.pgm", np.zeros((4, 4)))
+    pgm.write_ppm(tmp_path / "b.ppm", np.zeros((4, 4, 3)))
+    (tmp_path / "labels.csv").write_text("filename,label\na.pgm,0\nb.ppm,1\n")
+    spec = f"dir:root={tmp_path},size=4,channels={channels}"
+    with pytest.raises(DataError, match=f"channels must be 1 or 3, got {channels}"):
+        H.parse_data_spec(spec)
+    ckpt = tmp_path / "c.ckpt"
+    net = NetworkSpec(role="classifier", image_size=16, channels=1, num_classes=2, base_width=8)
+    save_checkpoint(ckpt, {"classifier": build_network(net, Rng(0, "init"))})
+    assert cli.main(["eval", str(ckpt), "--data", spec]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: channels must be 1 or 3, got {channels}\n"
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import gc
 import math
+import multiprocessing
 import sys
 import threading
 
 import numpy as np
 import pytest
+from conftest import count_gan_children, set_cores
 
 import ecgan.data as D
 import ecgan.tensor as T
@@ -24,6 +26,7 @@ from ecgan.training import (
     CLS_BETAS,
     GAN_BETAS,
     HyperParams,
+    classifier_fakes,
     classifier_step,
     discriminator_step,
     evaluate,
@@ -175,7 +178,7 @@ def test_classifier_uniform_logits_identity():
     batch = tiny_batch(6, seed=3)
     opt_c = Adam(cls.trainable_parameters(), 2e-4, betas=CLS_BETAS)
     hp = HyperParams(lam=0.0, batch_size=6, epochs=1)
-    sup, unsup, keep = classifier_step(cls, None, batch, hp, opt_c, Rng(3, "latent"))
+    sup, unsup, keep = classifier_step(cls, None, batch, hp, opt_c)
     assert abs(sup - math.log(3.0)) < 1e-5
     assert unsup == 0.0 and keep == 0.0
 
@@ -184,12 +187,12 @@ def test_classifier_uniform_logits_identity():
 
 
 def test_lambda_zero_never_touches_generator():
-    # train() passes no generator at all for the supervised baseline.
+    # train() passes no fakes for the supervised baseline, nor at lambda = 0.
     _, _, cls = make_nets(seed=4)
     batch = tiny_batch(6, seed=4)
     opt_c = Adam(cls.trainable_parameters(), 2e-4, betas=CLS_BETAS)
     hp = HyperParams(lam=0.0, batch_size=6, epochs=1)
-    sup, unsup, keep = classifier_step(cls, None, batch, hp, opt_c, Rng(4, "latent"))
+    sup, unsup, keep = classifier_step(cls, None, batch, hp, opt_c)
     assert unsup == 0.0 and keep == 0.0 and sup > 0.0
 
 
@@ -203,8 +206,8 @@ def test_threshold_one_step_is_bitwise_supervised():
     hp_b = HyperParams(lam=0.0, batch_size=6, epochs=1)
     opt_a = Adam(cls_a.trainable_parameters(), 2e-4, betas=CLS_BETAS)
     opt_b = Adam(cls_b.trainable_parameters(), 2e-4, betas=CLS_BETAS)
-    classifier_step(cls_a, gen, batch, hp_a, opt_a, Rng(5, "latent"))
-    classifier_step(cls_b, None, batch, hp_b, opt_b, Rng(5, "latent"))
+    classifier_step(cls_a, classifier_fakes(gen, 6, Rng(5, "latent")), batch, hp_a, opt_a)
+    classifier_step(cls_b, None, batch, hp_b, opt_b)
     for (n, p), (_, q) in zip(cls_a.parameters(), cls_b.parameters()):
         np.testing.assert_array_equal(p.data, q.data, err_msg=n)
 
@@ -218,7 +221,7 @@ def test_unsup_loss_value_independent_of_lambda():
         batch = tiny_batch(8, seed=6)
         hp = HyperParams(lam=lam, threshold=0.0, batch_size=8, epochs=1)
         opt_c = Adam(cls.trainable_parameters(), 2e-4, betas=CLS_BETAS)
-        _, unsup, keep = classifier_step(cls, gen, batch, hp, opt_c, Rng(6, "latent"))
+        _, unsup, keep = classifier_step(cls, classifier_fakes(gen, 8, Rng(6, "latent")), batch, hp, opt_c)
         results[lam] = (unsup, keep, snapshot(cls))
     assert results[0.1][1] == results[1.0][1] == 1.0  # threshold 0 keeps all
     assert results[0.1][0] == results[1.0][0] > 0.0
@@ -236,7 +239,7 @@ def test_classifier_step_leaves_generator_alone():
     batch = tiny_batch(6, seed=7)
     hp = HyperParams(lam=0.1, threshold=0.0, batch_size=6, epochs=1)
     opt_c = Adam(cls.trainable_parameters(), 2e-4, betas=CLS_BETAS)
-    classifier_step(cls, gen, batch, hp, opt_c, Rng(7, "latent"))
+    classifier_step(cls, classifier_fakes(gen, 6, Rng(7, "latent")), batch, hp, opt_c)
     assert_unchanged(gen, g_snap)  # params and running stats
 
 
@@ -272,7 +275,7 @@ def test_divergence_raises_with_step():
     opt_c = Adam(cls.trainable_parameters(), 2e-4, betas=CLS_BETAS)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged) as exc:
-            classifier_step(cls, None, batch, hp, opt_c, Rng(10, "latent"), step=41)
+            classifier_step(cls, None, batch, hp, opt_c, step=41)
     assert exc.value.step == 41
 
 
@@ -352,10 +355,90 @@ def test_step_order_is_d_then_g_then_c(monkeypatch):
     monkeypatch.setattr(TR, "discriminator_step", lambda *a, **k: calls.append("d") or real_d(*a, **k))
     monkeypatch.setattr(TR, "generator_step", lambda *a, **k: calls.append("g") or real_g(*a, **k))
     monkeypatch.setattr(TR, "classifier_step", lambda *a, **k: calls.append("c") or real_c(*a, **k))
+    set_cores(monkeypatch, 1)  # the serial order: on two cores D and G run in a child
     ds = tiny_dataset(2)  # 6 images
     hp = HyperParams(lam=0.1, batch_size=6, epochs=1, base_width=8, depth=1)
     train("ecgan", ds, hp)
     assert calls == ["d", "g", "c"]
+
+
+PIPELINE_HP = dict(lam=0.5, threshold=0.0, batch_size=6, epochs=2, seed=4, base_width=8, depth=1)
+
+
+@pytest.mark.parametrize("variant, overrides", [
+    ("ecgan", {}),
+    ("ecgan_conditional", {}),
+    ("ecgan", {"lam": 0.0}),
+    ("ecgan", {"augment": True}),
+], ids=["ecgan", "conditional", "lambda0", "augment"])
+def test_gan_half_in_a_child_trains_the_same_bytes(monkeypatch, variant, overrides):
+    ds = tiny_dataset(4, seed=30)  # 12 images: two steps per epoch
+    hp = HyperParams(**{**PIPELINE_HP, **overrides})
+    started = count_gan_children(monkeypatch)
+    runs = {}
+    for cores in (1, 2):
+        set_cores(monkeypatch, cores)
+        runs[cores] = train(variant, ds, hp, eval_dataset=ds)
+        assert multiprocessing.active_children() == []
+    assert len(started) == 1  # the two-core run forked, the one-core run did not
+    assert runs[1].history == runs[2].history
+    if overrides.get("lam") != 0.0:
+        assert runs[1].history[-1]["keep_rate"] == 1.0  # threshold 0: every fake is used
+    assert list(runs[1].networks) == list(runs[2].networks)
+    for key, net in runs[1].networks.items():
+        for (n, p), (_, q) in zip(net.parameters(), runs[2].networks[key].parameters()):
+            assert p.data.dtype == q.data.dtype
+            np.testing.assert_array_equal(p.data, q.data, err_msg=f"{key}/{n}")
+
+
+@pytest.mark.parametrize("d_step, c_step, who", [
+    (3, None, "discriminator"),  # the GAN half fails; the classifier finishes steps 0-2 first
+    (None, 2, "classifier"),
+    (3, 1, "classifier"),  # the earlier step wins
+    (2, 2, "discriminator"),  # within a step, D runs before C
+])
+def test_divergence_is_the_one_a_serial_run_raises(monkeypatch, d_step, c_step, who):
+    def failing(name, real, at):
+        def step(*args, step=0, **kwargs):
+            if step == at:
+                raise TrainingDiverged(f"{name} loss became non-finite (nan)", step=step)
+            return real(*args, step=step, **kwargs)
+        return step
+
+    c_calls = []
+    real_c = failing("classifier", TR.classifier_step, c_step)
+    monkeypatch.setattr(TR, "discriminator_step", failing("discriminator", TR.discriminator_step, d_step))
+    monkeypatch.setattr(TR, "classifier_step", lambda *a, **k: c_calls.append(1) or real_c(*a, **k))
+    ds = tiny_dataset(4, seed=31)
+    hp = HyperParams(**PIPELINE_HP)
+    started = count_gan_children(monkeypatch)
+    outcomes = {}
+    for cores in (1, 2):
+        set_cores(monkeypatch, cores)
+        rows = []
+        c_calls.clear()
+        with pytest.raises(TrainingDiverged) as exc:
+            train("ecgan", ds, hp, eval_dataset=ds, on_epoch=rows.append)
+        assert multiprocessing.active_children() == []
+        outcomes[cores] = (str(exc.value), exc.value.step, rows, len(c_calls))
+    assert len(started) == 1
+    assert outcomes[1] == outcomes[2]
+    message, step, rows, _ = outcomes[1]
+    assert message.startswith(who) and step == min(s for s in (d_step, c_step) if s is not None)
+    assert [row["epoch"] for row in rows] == list(range(step // 2))  # two steps per epoch
+
+
+def test_on_epoch_error_ends_the_gan_child(monkeypatch):
+    def stop(row):
+        raise KeyError("stop after the first epoch")
+
+    started = count_gan_children(monkeypatch)
+    set_cores(monkeypatch, 2)
+    hp = HyperParams(**{**PIPELINE_HP, "epochs": 3})
+    with pytest.raises(KeyError, match="first epoch"):
+        train("ecgan", tiny_dataset(4, seed=32), hp, on_epoch=stop)
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_lambda_zero_run_equals_baseline_run():
