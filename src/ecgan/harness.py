@@ -143,13 +143,15 @@ def run_cells(cfg, train_ds, test_ds, cells, writer=None, on_result=None):
 
     The cells run on min(usable cores, cells) forked worker processes, the
     longest variants first; with one cell or one core they run here, with
-    no pool. Each worker gets an equal share of the cores for `evaluate`
-    and one OpenBLAS thread. Either way, `writer` gets every cell's history
-    rows and `on_result(cell, result)` is called in cell order, each once
-    that cell and every earlier one has finished, so outputs are the same
-    bytes on any number of cores. A cell's exception reaches the caller
-    after the earlier cells (and a diverged cell's rows so far) are passed
-    on; cells still running are waited for, cells not started are dropped.
+    no pool. Each worker gets an equal share of the cores, used by
+    `evaluate` and, when it is two or more, by an ecgan cell's GAN child
+    (see `training.train`), and one OpenBLAS thread. Either way, `writer`
+    gets every cell's history rows and `on_result(cell, result)` is called
+    in cell order, each once that cell and every earlier one has finished,
+    so outputs are the same bytes on any number of cores. A cell's
+    exception reaches the caller after the earlier cells (and a diverged
+    cell's rows so far) are passed on; cells still running are waited for,
+    cells not started are dropped.
     """
     cores = usable_cores()
     workers = min(cores, len(cells))

@@ -19,8 +19,9 @@ classifier half, and the results are the same bytes as on one core.
 
 Randomness is split into independent named streams (data order and
 augmentation, per-network init, latent draws) derived from one seed, so
-variants sharing a seed see identical real-data batches. Each half of an
-ecgan run reads the data stream from its own copy.
+variants sharing a seed see identical real-data batches. In one process
+both halves of an ecgan run read one stream of minibatches; a GAN half in
+a child makes its own copy from the same seed.
 """
 
 from __future__ import annotations
@@ -342,7 +343,7 @@ class _Net(NamedTuple):
 
 def _minibatches(dataset, hp):
     """(epoch, step, batch) for every minibatch of a run, shuffled (and
-    augmented) from the caller's own copy of the run's data stream."""
+    augmented) from a fresh copy of the run's data stream."""
     rng = Rng(hp.seed, "data")
     step = itertools.count()
     for epoch in range(hp.epochs):
@@ -350,21 +351,16 @@ def _minibatches(dataset, hp):
             yield epoch, next(step), batch
 
 
-def _gan_half(nets, opts, dataset, hp):
-    """The GAN half of an ecgan run: per minibatch the D step, the G step
-    and, with lambda > 0, the classifier's fakes, drawing from the latent
-    stream in that order. Yields (loss_d, loss_g, fakes or None)."""
+def _gan_half(nets, opts, minibatches, hp):
+    """The GAN half of an ecgan run: per item of `minibatches` the D step,
+    the G step and, with lambda > 0, the classifier's fakes, drawing from the
+    latent stream in that order. Yields (loss_d, loss_g, fakes or None)."""
     g, d = nets["generator"], nets["discriminator"]
     rng = Rng(hp.seed, "latent")
-    for _, step, batch in _minibatches(dataset, hp):
+    for _, step, batch in minibatches:
         loss_d = discriminator_step(d, g, batch.images, opts["discriminator"], rng, step=step, labels=batch.labels)
         loss_g = generator_step(g, d, len(batch), opts["generator"], rng, step=step)
         yield loss_d, loss_g, classifier_fakes(g, len(batch), rng) if hp.lam > 0 else None
-
-
-def _latent_stream(nets, opts, dataset, hp):
-    """The shared and baseline steps draw what latents they need themselves."""
-    return itertools.repeat(Rng(hp.seed, "latent"))
 
 
 def _classifier_half(nets, opts, batch, hp, gan, step):
@@ -385,14 +381,14 @@ def _baseline_step(nets, opts, batch, hp, rng, step):
 
 
 class _Variant(NamedTuple):
-    """How a variant trains: `feed(nets, opts, dataset, hp)` gives one item
-    per minibatch, and `step(nets, opts, batch, hp, item, step)` makes that
-    minibatch's update and returns its StepMetrics."""
+    """How a variant trains: `step(nets, opts, batch, hp, item, step)` makes
+    one minibatch's update and returns its StepMetrics. With `gan_half` set,
+    `item` is what `_gan_half` yielded for that minibatch; otherwise it is the
+    run's latent stream, from which the step draws what it needs."""
 
-    feed: object
     step: object
     nets: tuple  # its networks, in the order of the networks dict and so of the checkpoint records
-    fed: tuple = ()  # keys of the networks `feed` trains; such a feed may run in a child process
+    gan_half: bool = False
 
 
 # The table holds the private wrappers, never discriminator_step & co.:
@@ -403,16 +399,19 @@ _GENERATOR = _Net("generator", "generator", "lr_g", GAN_BETAS)
 _DISCRIMINATOR = _Net("discriminator", "discriminator", "lr_d", GAN_BETAS)
 _GAN_NETS = ("generator", "discriminator")
 _VARIANTS = {
-    "ecgan": _Variant(_gan_half, _classifier_half, (_CLASSIFIER, _GENERATOR, _DISCRIMINATOR), _GAN_NETS),
-    "shared": _Variant(_latent_stream, _shared_variant_step, (
+    "ecgan": _Variant(_classifier_half, (_CLASSIFIER, _GENERATOR, _DISCRIMINATOR), gan_half=True),
+    "shared": _Variant(_shared_variant_step, (
         _GENERATOR, _Net("shared", "shared_discriminator", "lr_c", CLS_BETAS),
     )),
-    "baseline": _Variant(_latent_stream, _baseline_step, (_CLASSIFIER,)),
-    "ecgan_conditional": _Variant(_gan_half, _classifier_half, (
+    "baseline": _Variant(_baseline_step, (_CLASSIFIER,)),
+    "ecgan_conditional": _Variant(_classifier_half, (
         _CLASSIFIER, _GENERATOR._replace(conditional=True), _DISCRIMINATOR._replace(conditional=True),
-    ), _GAN_NETS),
+    ), gan_half=True),
 }
 VARIANTS = tuple(_VARIANTS)
+
+# The steps the GAN half calls by name, as this module defines them.
+_GAN_STEPS = (discriminator_step, generator_step, classifier_fakes)
 
 
 def _epoch_means(steps):
@@ -429,17 +428,26 @@ def _epoch_means(steps):
 
 @contextlib.contextmanager
 def _feed(recipe, nets, opts, dataset, hp):
-    """The variant's feed. One that trains networks runs in a forked child
-    when this process may use two cores or more; once the block has read
-    every item, those networks' final state is loaded back here."""
-    feed = recipe.feed(nets, opts, dataset, hp)
-    if not recipe.fed or usable_cores() < 2:
-        yield feed
-        return
-    with ChildStream(feed, lambda: {key: nets[key].state() for key in recipe.fed}) as child:
-        yield child
-        for key, state in child.result().items():
-            nets[key].load_state(state)
+    """The run's minibatches and, for each, its step's item (see `_Variant`).
+
+    An ecgan run's GAN half runs in a forked child when this process may use
+    two cores or more, unless a GAN step has been rebound on this module: a
+    caller that rebinds one to watch it (as tracers and tests do) would see
+    nothing of the calls made in a child. Once the block has read every
+    item from a child, G's and D's final state is loaded back here.
+    """
+    minibatches = _minibatches(dataset, hp)
+    if not recipe.gan_half:
+        yield minibatches, itertools.repeat(Rng(hp.seed, "latent"))
+    elif usable_cores() < 2 or (discriminator_step, generator_step, classifier_fakes) != _GAN_STEPS:
+        minibatches, gan_minibatches = itertools.tee(minibatches)
+        yield minibatches, _gan_half(nets, opts, gan_minibatches, hp)
+    else:
+        gan = _gan_half(nets, opts, _minibatches(dataset, hp), hp)
+        with ChildStream(gan, lambda: {key: nets[key].state() for key in _GAN_NETS}) as child:
+            yield minibatches, child
+            for key, state in child.result().items():
+                nets[key].load_state(state)
 
 
 def train(variant, dataset, hp, eval_dataset=None, on_epoch=None):
@@ -471,9 +479,9 @@ def train(variant, dataset, hp, eval_dataset=None, on_epoch=None):
 
     classifier = nets["classifier"] if "classifier" in nets else nets["shared"]
     history = []
-    with _feed(recipe, nets, opts, dataset, hp) as feed:
-        for epoch, minibatches in itertools.groupby(_minibatches(dataset, hp), key=lambda m: m[0]):
-            steps = [recipe.step(nets, opts, batch, hp, next(feed), step) for _, step, batch in minibatches]
+    with _feed(recipe, nets, opts, dataset, hp) as (minibatches, feed):
+        for epoch, epoch_minibatches in itertools.groupby(minibatches, key=lambda m: m[0]):
+            steps = [recipe.step(nets, opts, batch, hp, next(feed), step) for _, step, batch in epoch_minibatches]
             row = {
                 "epoch": epoch,
                 **_epoch_means(steps),

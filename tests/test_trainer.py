@@ -355,7 +355,7 @@ def test_step_order_is_d_then_g_then_c(monkeypatch):
     monkeypatch.setattr(TR, "discriminator_step", lambda *a, **k: calls.append("d") or real_d(*a, **k))
     monkeypatch.setattr(TR, "generator_step", lambda *a, **k: calls.append("g") or real_g(*a, **k))
     monkeypatch.setattr(TR, "classifier_step", lambda *a, **k: calls.append("c") or real_c(*a, **k))
-    set_cores(monkeypatch, 1)  # the serial order: on two cores D and G run in a child
+    set_cores(monkeypatch, 1)  # the order of the one-core schedule
     ds = tiny_dataset(2)  # 6 images
     hp = HyperParams(lam=0.1, batch_size=6, epochs=1, base_width=8, depth=1)
     train("ecgan", ds, hp)
@@ -375,12 +375,16 @@ def test_gan_half_in_a_child_trains_the_same_bytes(monkeypatch, variant, overrid
     ds = tiny_dataset(4, seed=30)  # 12 images: two steps per epoch
     hp = HyperParams(**{**PIPELINE_HP, **overrides})
     started = count_gan_children(monkeypatch)
+    shuffles = []  # epochs shuffled in this process: both halves read one stream
+    real_batches = TR.batches
+    monkeypatch.setattr(TR, "batches", lambda *a, **k: shuffles.append(1) or real_batches(*a, **k))
     runs = {}
     for cores in (1, 2):
         set_cores(monkeypatch, cores)
         runs[cores] = train(variant, ds, hp, eval_dataset=ds)
         assert multiprocessing.active_children() == []
     assert len(started) == 1  # the two-core run forked, the one-core run did not
+    assert len(shuffles) == 2 * hp.epochs
     assert runs[1].history == runs[2].history
     if overrides.get("lam") != 0.0:
         assert runs[1].history[-1]["keep_rate"] == 1.0  # threshold 0: every fake is used
@@ -398,16 +402,14 @@ def test_gan_half_in_a_child_trains_the_same_bytes(monkeypatch, variant, overrid
     (2, 2, "discriminator"),  # within a step, D runs before C
 ])
 def test_divergence_is_the_one_a_serial_run_raises(monkeypatch, d_step, c_step, who):
-    def failing(name, real, at):
-        def step(*args, step=0, **kwargs):
-            if step == at:
-                raise TrainingDiverged(f"{name} loss became non-finite (nan)", step=step)
-            return real(*args, step=step, **kwargs)
-        return step
-
+    # The loss turns NaN inside the step; rebinding the D step itself would
+    # keep the GAN half in this process (see the next test).
+    nan_at = {"discriminator loss": d_step, "classifier loss": c_step}
+    real_check = TR._check_finite
+    monkeypatch.setattr(TR, "_check_finite", lambda value, step, what: real_check(
+        float("nan") if nan_at.get(what) == step else value, step, what))
     c_calls = []
-    real_c = failing("classifier", TR.classifier_step, c_step)
-    monkeypatch.setattr(TR, "discriminator_step", failing("discriminator", TR.discriminator_step, d_step))
+    real_c = TR.classifier_step
     monkeypatch.setattr(TR, "classifier_step", lambda *a, **k: c_calls.append(1) or real_c(*a, **k))
     ds = tiny_dataset(4, seed=31)
     hp = HyperParams(**PIPELINE_HP)
@@ -426,6 +428,19 @@ def test_divergence_is_the_one_a_serial_run_raises(monkeypatch, d_step, c_step, 
     message, step, rows, _ = outcomes[1]
     assert message.startswith(who) and step == min(s for s in (d_step, c_step) if s is not None)
     assert [row["epoch"] for row in rows] == list(range(step // 2))  # two steps per epoch
+
+
+@pytest.mark.parametrize("name", ["discriminator_step", "generator_step", "classifier_fakes"])
+def test_rebound_gan_step_keeps_the_gan_half_in_process(monkeypatch, name):
+    """A caller that rebinds a GAN step to watch it sees every call, on any
+    core count: a child would make them where the caller cannot look."""
+    calls = []
+    real = getattr(TR, name)
+    monkeypatch.setattr(TR, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    started = count_gan_children(monkeypatch)
+    set_cores(monkeypatch, 2)
+    train("ecgan", tiny_dataset(4, seed=30), HyperParams(**PIPELINE_HP))
+    assert started == [] and len(calls) == 4  # two epochs of two steps
 
 
 def test_on_epoch_error_ends_the_gan_child(monkeypatch):
@@ -508,9 +523,10 @@ def test_conditional_variant_networks_and_determinism():
 
 
 @pytest.mark.parametrize("variant", TR.VARIANTS)
-def test_epoch_graphs_free_without_cyclic_gc(variant):
+def test_epoch_graphs_free_without_cyclic_gc(monkeypatch, variant):
     """No autodiff graph is part of a reference cycle: with the cyclic GC
     off, every step's tensors and nodes go by reference counting alone."""
+    set_cores(monkeypatch, 1)  # every step in this process, whose garbage is read here
     ds = tiny_dataset(2, seed=26)
     hp = HyperParams(lam=0.1, batch_size=6, epochs=1, base_width=8, depth=1)
     gc.collect()
