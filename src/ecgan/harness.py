@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +30,7 @@ from .errors import ContractError, DataError, TrainingDiverged
 from .networks import conditional_latent, draw_latent
 from .processes import FORK, one_blas_thread
 from .tensor import Rng, no_grad
-from .training import evaluate, train, usable_cores
+from .training import evaluate, train_job, usable_cores
 
 METRIC_FIELDS = [
     "run_id", "variant", "percent", "lambda", "seed", "epoch",
@@ -106,92 +105,174 @@ class _MetricsWriter:
         self.f.close()
 
 
-def run_cell(cfg, train_ds, test_ds, cell, on_epoch=None):
-    """Train one cell; returns its TrainResult. `on_epoch` gets each history row."""
-    cell_ds = subsample(train_ds, cell.percent, cell.seed) if cell.percent < 100 else train_ds
-    hp = cfg.hyper(seed=cell.seed, lam=cell.lam, augment=cell.augment, decay=cell.decay)
-    return train(cell.variant, cell_ds, hp, eval_dataset=test_ds, on_epoch=on_epoch)
+def _hyper(cfg, cell):
+    return cfg.hyper(seed=cell.seed, lam=cell.lam, augment=cell.augment, decay=cell.decay)
 
 
-def _start_worker(core_budget):
-    """Keep a forked cell worker to its share of the cores: `evaluate` gets
-    `core_budget` threads and OpenBLAS one."""
+def run_cell(cfg, train_ds, test_ds, job, on_epoch=None):
+    """Train `job`, a list of cells that `_jobs` put together, in this
+    process; returns per cell its TrainResult or the TrainingDiverged that
+    stopped it. `on_epoch(i, row)` gets each history row of `job[i]`."""
+    first = job[0]  # the cells of a job share their data
+    job_ds = subsample(train_ds, first.percent, first.seed) if first.percent < 100 else train_ds
+    runs = [(cell.variant, _hyper(cfg, cell)) for cell in job]
+    return train_job(job_ds, runs, eval_dataset=test_ds, on_epoch=on_epoch)
+
+
+# A cell worker's config and datasets, which it inherits from the command
+# when it forks (see `_start_worker`).
+_worker_inputs = None
+
+
+def _start_worker(core_budget, cfg, train_ds, test_ds):
+    """Keep a forked cell worker to its share of the cores (`evaluate` gets
+    `core_budget` threads and OpenBLAS one), and keep the command's config
+    and datasets, which the fork hands over without pickling them."""
+    global _worker_inputs
     training.core_budget = core_budget
     one_blas_thread()
+    _worker_inputs = cfg, train_ds, test_ds
 
 
-def _train_in_worker(cfg, train_ds, test_ds, cell):
-    """Pool entry point for one cell. `run_cell` is looked up at call time, so
+def _train_in_worker(job):
+    """Pool entry point for one job. `run_cell` is looked up at call time, so
     a wrapper bound to that name on the module (as tracers do) is the one that
     runs; such a wrapper could not be sent to the worker itself."""
-    rows = []
-    try:
-        return run_cell(cfg, train_ds, test_ds, cell, on_epoch=rows.append)
-    except TrainingDiverged as e:
-        e.rows = rows  # the epochs before the divergence, as a serial run writes them
-        raise
+    rows = [[] for _ in job]
+    outcomes = run_cell(*_worker_inputs, job, on_epoch=lambda i, row: rows[i].append(row))
+    for outcome, cell_rows in zip(outcomes, rows):
+        if isinstance(outcome, TrainingDiverged):
+            outcome.rows = cell_rows  # the epochs before the divergence, as a serial run writes them
+    return outcomes
 
 
-# Submission order, longest cells first so that no long cell starts last:
-# ecgan trains a generator, a discriminator and the residual classifier,
-# baseline the classifier alone, shared the small DCGAN pair.
-_SUBMIT_RANK = {"ecgan": 0, "ecgan_conditional": 0, "baseline": 1, "shared": 2}
+# What a half costs, by kind (`training.half_keys`), to submit the longest
+# jobs first: the residual classifier costs about twice the DCGAN pair of a
+# GAN half or of a shared run.
+_HALF_COST = {"classifier": 2, "gan": 1, "shared": 1}
+
+
+class _Job:
+    """Cells that train together, as indices into the command's cells, and
+    the keys of the halves they train; `gan` is its GAN half's key or None."""
+
+    def __init__(self):
+        self.cells = []
+        self.halves = set()
+        self.gan = None
+
+    @property
+    def cost(self):
+        return sum(_HALF_COST[key[1][0]] for key in self.halves)
+
+
+def _jobs(cfg, cells):
+    """Group `cells` into jobs, in the order of their first cells. Cells on
+    the same data that share a half (`training.half_keys`) join one job, so
+    that the half trains once, unless the job would get two GAN halves: then
+    the cell trains its classifier half once more, in its GAN half's job."""
+    jobs = []
+
+    def holding(key):
+        return next((job for job in jobs if key in job.halves), None)
+
+    for i, cell in enumerate(cells):
+        gan, classifier = (
+            None if key is None else (cell.percent, key)
+            for key in training.half_keys(cell.variant, _hyper(cfg, cell))
+        )
+        home, share = holding(gan), holding(classifier)
+        if home is None:
+            home = share if share is not None and (gan is None or share.gan is None) else _Job()
+        elif share is not None and share is not home and share.gan is None:
+            home.cells += share.cells
+            home.halves |= share.halves
+            jobs.remove(share)
+        if home not in jobs:
+            jobs.append(home)
+        home.cells.append(i)
+        home.halves.update(key for key in (gan, classifier) if key is not None)
+        home.gan = home.gan or gan
+    for job in jobs:
+        job.cells.sort()
+    return sorted(jobs, key=lambda job: job.cells[0])
 
 
 def run_cells(cfg, train_ds, test_ds, cells, writer=None, on_result=None):
     """Train `cells` and return their TrainResults in cell order.
 
-    The cells run on min(usable cores, cells) forked worker processes, the
-    longest variants first; with one cell or one core they run here, with
-    no pool. Each worker gets an equal share of the cores, used by
-    `evaluate` and, when it is two or more, by an ecgan cell's GAN child
-    (see `training.train`), and one OpenBLAS thread. Either way, `writer`
-    gets every cell's history rows and `on_result(cell, result)` is called
-    in cell order, each once that cell and every earlier one has finished,
-    so outputs are the same bytes on any number of cores. A cell's
-    exception reaches the caller after the earlier cells (and a diverged
-    cell's rows so far) are passed on; cells still running are waited for,
-    cells not started are dropped.
+    Cells train in jobs (`_jobs`), so a half that cells share trains once.
+    The jobs run on min(usable cores, jobs) forked worker processes, the
+    longest first; with one job or one core they run here, with no pool.
+    Each worker gets an equal share of the cores, used by `evaluate` and,
+    when it is two or more, by a GAN child (see `training.train_job`), and
+    one OpenBLAS thread. Either way, `writer` gets the cells' history rows
+    in cell order, a cell's rows only once every earlier cell has finished,
+    and `on_result(cell, result)` is called in cell order, so outputs are
+    the same bytes on any number of cores, and metrics.csv is at every
+    moment a prefix of the finished file. The first diverged cell in
+    cell order raises its TrainingDiverged after the earlier cells and its
+    own rows so far are passed on; jobs still running are waited for, jobs
+    not started are dropped. Any other error ends the command at once.
     """
+    jobs = _jobs(cfg, cells)
     cores = usable_cores()
-    workers = min(cores, len(cells))
+    workers = min(cores, len(jobs))
     results = []
+    pending_rows = [[] for _ in cells]
+    outcomes = {}
 
-    def finish(cell, result):
-        if on_result is not None:
-            on_result(cell, result)
-        results.append(result)
+    def write_rows():
+        """Write the rows so far of the first cell not yet finished."""
+        if len(results) < len(cells):
+            for row in pending_rows[len(results)]:
+                writer.add(cells[len(results)], row)
+            pending_rows[len(results)].clear()
+
+    def add_row(i, row):
+        if writer is not None:
+            pending_rows[i].append(row)
+            write_rows()
+
+    def finish(i, outcome):
+        outcomes[i] = outcome
+        while len(results) in outcomes:
+            outcome = outcomes.pop(len(results))
+            if isinstance(outcome, TrainingDiverged):
+                raise outcome
+            if on_result is not None:
+                on_result(cells[len(results)], outcome)
+            results.append(outcome)
+            write_rows()
 
     if workers <= 1:
-        for cell in cells:
-            on_epoch = functools.partial(writer.add, cell) if writer else None
-            finish(cell, run_cell(cfg, train_ds, test_ds, cell, on_epoch=on_epoch))
+        for job in jobs:
+            job_cells = [cells[i] for i in job.cells]
+            job_outcomes = run_cell(
+                cfg, train_ds, test_ds, job_cells, on_epoch=lambda k, row: add_row(job.cells[k], row),
+            )
+            for i, outcome in zip(job.cells, job_outcomes):
+                finish(i, outcome)
         return results
 
     core_budget = cores // workers
-    submit_order = sorted(range(len(cells)), key=lambda i: _SUBMIT_RANK.get(cells[i].variant, 0))
     # The workers fork at the first submit, before the pool's manager thread
     # starts (see `processes` on forking).
     pool = ProcessPoolExecutor(
-        workers, mp_context=FORK, initializer=_start_worker, initargs=(core_budget,),
+        workers, mp_context=FORK, initializer=_start_worker,
+        initargs=(core_budget, cfg, train_ds, test_ds),
     )
     try:
         futures = {
-            i: pool.submit(_train_in_worker, cfg, train_ds, test_ds, cells[i])
-            for i in submit_order
+            job: pool.submit(_train_in_worker, [cells[i] for i in job.cells])
+            for job in sorted(jobs, key=lambda job: -job.cost)
         }
-        for i, cell in enumerate(cells):
-            try:
-                result = futures[i].result()
-            except TrainingDiverged as e:
-                if writer:
-                    for row in e.rows:
-                        writer.add(cell, row)
-                raise
-            if writer:
-                for row in result.history:
-                    writer.add(cell, row)
-            finish(cell, result)
+        for job in jobs:
+            for i, outcome in zip(job.cells, futures[job].result()):
+                rows = outcome.rows if isinstance(outcome, TrainingDiverged) else outcome.history
+                for row in rows:
+                    add_row(i, row)
+                finish(i, outcome)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     return results

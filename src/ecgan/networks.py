@@ -214,16 +214,18 @@ class _Linear:
 
 
 class _Bn:
+    """Batch norm over channels. The network passes its train/eval mode in
+    each call: a reference back to the network would make every network a
+    reference cycle, freed only by the cyclic garbage collector."""
+
     def __init__(self, net, name, c, gamma_std=0.0):
-        self.net = net
         gamma = np.ones(c) if gamma_std == 0 else net._init_rng.normal((c,), loc=1.0, scale=gamma_std)
         self.gamma = net.add_param(f"{name}.gamma", gamma)
         self.beta = net.add_param(f"{name}.beta", np.zeros(c))
         self.rm = net.add_param(f"{name}.running_mean", np.zeros(c), requires_grad=False)
         self.rv = net.add_param(f"{name}.running_var", np.ones(c), requires_grad=False)
 
-    def __call__(self, x, update_stats=True):
-        training = self.net.training
+    def __call__(self, x, training, update_stats=True):
         return batchnorm2d(
             x,
             self.gamma,
@@ -255,10 +257,10 @@ def _dcgan_trunk(net, prefix, extra_channels=0):
     return blocks, cin
 
 
-def _trunk_forward(blocks, h, update_stats):
+def _trunk_forward(blocks, h, training, update_stats):
     for conv, bn in blocks:
         h = conv(h)
-        h = leaky_relu(h if bn is None else bn(h, update_stats))
+        h = leaky_relu(h if bn is None else bn(h, training, update_stats))
     return h
 
 
@@ -297,9 +299,9 @@ class Generator(Network):
         if z.ndim != 2 or z.shape[1] != LATENT_DIM:
             raise ShapeError(f"generator expects [N,{LATENT_DIM}] latents, got {z.shape}")
         h = reshape(self.proj(z), (z.shape[0], self.w0, 4, 4))
-        h = relu(self.bn0(h, update_stats))
+        h = relu(self.bn0(h, self.training, update_stats))
         for conv, bn in self.blocks:
-            h = relu(bn(conv(h), update_stats))
+            h = relu(bn(conv(h), self.training, update_stats))
         return tanh(self.final(h))
 
     __call__ = forward
@@ -328,7 +330,7 @@ class Discriminator(Network):
             raise ContractError("conditional discriminator requires labels")
         if not self.spec.conditional and labels is not None:
             raise ContractError("labels passed to an unconditional discriminator")
-        h = _trunk_forward(self.blocks[:1], x, update_stats)
+        h = _trunk_forward(self.blocks[:1], x, self.training, update_stats)
         if self.spec.conditional:
             code = encode_class(labels, self.spec.num_classes)
             n, _, hh, ww = h.shape
@@ -338,7 +340,7 @@ class Discriminator(Network):
                 code.astype(h.data.dtype)[:, None, None, None], (n, 1, hh, ww)
             )
             h = concat_channels(h, Tensor(np.ascontiguousarray(plane)))
-        out = self.final(_trunk_forward(self.blocks[1:], h, update_stats))
+        out = self.final(_trunk_forward(self.blocks[1:], h, self.training, update_stats))
         return sigmoid(reshape(out, (out.shape[0], 1)))
 
     __call__ = forward
@@ -359,10 +361,10 @@ class _ResBlock:
         else:
             self.proj = None
 
-    def __call__(self, x, update_stats=True):
-        h = relu(self.bn1(self.conv1(x), update_stats))
-        h = self.bn2(self.conv2(h), update_stats)
-        skip = x if self.proj is None else self.proj_bn(self.proj(x), update_stats)
+    def __call__(self, x, training, update_stats=True):
+        h = relu(self.bn1(self.conv1(x), training, update_stats))
+        h = self.bn2(self.conv2(h), training, update_stats)
+        skip = x if self.proj is None else self.proj_bn(self.proj(x), training, update_stats)
         return relu(add(h, skip))
 
 
@@ -399,10 +401,10 @@ class Classifier(Network):
         del self._init_rng
 
     def forward(self, x, update_stats=True):
-        h = relu(self.stem_bn(self.stem(x), update_stats))
+        h = relu(self.stem_bn(self.stem(x), self.training, update_stats))
         for blocks in self.stages:
             for block in blocks:
-                h = block(h, update_stats)
+                h = block(h, self.training, update_stats)
         return self.fc(spatial_mean(h))
 
     __call__ = forward
@@ -430,7 +432,7 @@ class SharedDiscriminator(Network):
         del self._init_rng
 
     def forward(self, x, update_stats=True):
-        h = _trunk_forward(self.blocks, x, update_stats)
+        h = _trunk_forward(self.blocks, x, self.training, update_stats)
         logits = self.head_c(h)
         logits = reshape(logits, (logits.shape[0], self.spec.num_classes))
         prob = self.head_d(h)

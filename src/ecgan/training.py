@@ -19,9 +19,13 @@ classifier half, and the results are the same bytes as on one core.
 
 Randomness is split into independent named streams (data order and
 augmentation, per-network init, latent draws) derived from one seed, so
-variants sharing a seed see identical real-data batches. In one process
-both halves of an ecgan run read one stream of minibatches; a GAN half in
-a child makes its own copy from the same seed.
+variants sharing a seed see identical real-data batches. So runs that
+differ only in what one half does not read share that half: ecgan runs
+that differ only in lambda > 0, threshold or the classifier's settings
+share a GAN half, and an ecgan run at lambda = 0 has a baseline run's
+classifier half. `train_job` trains such runs together, each half once.
+In one process every half of a job reads one stream of minibatches; a
+GAN half in a child makes its own copy from the same seed.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import itertools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -328,7 +332,7 @@ def evaluate(net, dataset, batch_size=16):
 class TrainResult:
     networks: dict
     history: list = field(default_factory=list)
-    seconds: float = 0.0  # wall time of the training run; written to no output
+    seconds: float = 0.0  # wall time of the job that trained the run (see `train_job`); written to no output
 
 
 class _Net(NamedTuple):
@@ -363,55 +367,139 @@ def _gan_half(nets, opts, minibatches, hp):
         yield loss_d, loss_g, classifier_fakes(g, len(batch), rng) if hp.lam > 0 else None
 
 
-def _classifier_half(nets, opts, batch, hp, gan, step):
-    loss_d, loss_g, fakes = gan
-    sup, unsup, keep = classifier_step(nets["classifier"], fakes, batch, hp, opts["classifier"], step=step)
-    return StepMetrics(loss_d, loss_g, sup, unsup, keep)
+def _classifier_update(half, batch, fakes, step):
+    sup, unsup, keep = classifier_step(
+        half.nets["classifier"], fakes, batch, half.hp, half.opts["classifier"], step=step,
+    )
+    return StepMetrics(loss_c_sup=sup, loss_c_unsup=unsup, keep_rate=keep)
 
 
-def _shared_variant_step(nets, opts, batch, hp, rng, step):
+def _shared_update(half, batch, fakes, step):
     return shared_step(
-        nets["shared"], nets["generator"], batch, hp, opts["shared"], opts["generator"], rng, step=step,
+        half.nets["shared"], half.nets["generator"], batch, half.hp,
+        half.opts["shared"], half.opts["generator"], half.latents, step=step,
     )
 
 
-def _baseline_step(nets, opts, batch, hp, rng, step):
-    sup, _, _ = classifier_step(nets["classifier"], None, batch, hp, opts["classifier"], step=step)
-    return StepMetrics(loss_c_sup=sup)
+class _Part(NamedTuple):
+    """A half of a variant's run: its networks and the HyperParams fields
+    that decide what it trains. A classifier half (every half but a GAN
+    half) also has `update(half, batch, fakes, step)`, its StepMetrics for
+    one minibatch."""
+
+    kind: str
+    nets: tuple  # in the order of the networks dict and so of the checkpoint records
+    reads: tuple
+    update: object = None
+
+
+# The HyperParams fields behind a run's minibatches and its random streams,
+# which every half reads.
+_STREAM = ("seed", "epochs", "batch_size", "augment")
+
+# The table holds the private updates, never classifier_step & co.:
+# those are looked up by name at call time, so rebinding one on the module
+# (as tracers and tests do) takes effect.
+_GENERATOR = _Net("generator", "generator", "lr_g", GAN_BETAS)
+_GAN = _Part(
+    "gan", (_GENERATOR, _Net("discriminator", "discriminator", "lr_d", GAN_BETAS)),
+    _STREAM + ("base_width", "lr_g", "lr_d"),
+)
+_CLASSIFIER = _Part(
+    "classifier", (_Net("classifier", "classifier", "lr_c", CLS_BETAS),),
+    _STREAM + ("base_width", "depth", "lr_c", "weight_decay"), _classifier_update,
+)
 
 
 class _Variant(NamedTuple):
-    """How a variant trains: `step(nets, opts, batch, hp, item, step)` makes
-    one minibatch's update and returns its StepMetrics. With `gan_half` set,
-    `item` is what `_gan_half` yielded for that minibatch; otherwise it is the
-    run's latent stream, from which the step draws what it needs."""
+    """How a variant trains: a classifier half and, for the ecgan variants,
+    a GAN half whose fakes the classifier half reads when lambda > 0."""
 
-    step: object
-    nets: tuple  # its networks, in the order of the networks dict and so of the checkpoint records
-    gan_half: bool = False
+    classifier: _Part
+    gan: _Part | None = None
 
 
-# The table holds the private wrappers, never discriminator_step & co.:
-# those are looked up by name at call time, so rebinding one on the module
-# (as tracers and tests do) takes effect.
-_CLASSIFIER = _Net("classifier", "classifier", "lr_c", CLS_BETAS)
-_GENERATOR = _Net("generator", "generator", "lr_g", GAN_BETAS)
-_DISCRIMINATOR = _Net("discriminator", "discriminator", "lr_d", GAN_BETAS)
-_GAN_NETS = ("generator", "discriminator")
 _VARIANTS = {
-    "ecgan": _Variant(_classifier_half, (_CLASSIFIER, _GENERATOR, _DISCRIMINATOR), gan_half=True),
-    "shared": _Variant(_shared_variant_step, (
-        _GENERATOR, _Net("shared", "shared_discriminator", "lr_c", CLS_BETAS),
+    "ecgan": _Variant(_CLASSIFIER, _GAN),
+    "shared": _Variant(_Part(
+        "shared", (_GENERATOR, _Net("shared", "shared_discriminator", "lr_c", CLS_BETAS)),
+        _STREAM + ("base_width", "lam", "lr_g", "lr_c", "weight_decay"), _shared_update,
     )),
-    "baseline": _Variant(_baseline_step, (_CLASSIFIER,)),
-    "ecgan_conditional": _Variant(_classifier_half, (
-        _CLASSIFIER, _GENERATOR._replace(conditional=True), _DISCRIMINATOR._replace(conditional=True),
-    ), gan_half=True),
+    "baseline": _Variant(_CLASSIFIER),
+    "ecgan_conditional": _Variant(_CLASSIFIER, _GAN._replace(
+        nets=tuple(net._replace(conditional=True) for net in _GAN.nets),
+    )),
 }
 VARIANTS = tuple(_VARIANTS)
 
 # The steps the GAN half calls by name, as this module defines them.
 _GAN_STEPS = (discriminator_step, generator_step, classifier_fakes)
+
+
+def half_keys(variant, hp):
+    """The keys of the GAN half (None without one) and of the classifier half
+    of a `variant` run with `hp`. A key starts with the half's kind and holds
+    what the half reads: its networks, its HyperParams fields and, for a
+    classifier half that reads fakes, its GAN half's key. Halves with equal
+    keys on the same data train the same bytes.
+
+    A lambda = 0 GAN half draws no fakes, so its latent stream is not that
+    of a lambda > 0 one; and the classifier half of an ecgan run at lambda = 0
+    reads no fakes, so it is a baseline run's classifier half.
+    """
+    if variant not in _VARIANTS:
+        raise SpecError(f"unknown variant {variant!r}")
+    recipe = _VARIANTS[variant]
+
+    def key(part, *extra):
+        return (part.kind, part.nets, *extra, tuple(getattr(hp, name) for name in part.reads))
+
+    if recipe.gan is None:
+        return None, key(recipe.classifier)
+    gan = key(recipe.gan, hp.lam > 0)
+    if hp.lam == 0:
+        return gan, key(recipe.classifier)
+    return gan, key(recipe.classifier, gan, hp.lam, hp.threshold)
+
+
+class _Half:
+    """A half of a job's runs, built and trained once: its networks, their
+    optimizers, and its StepMetrics this epoch."""
+
+    def __init__(self, part, dataset, hp, reads_fakes=False):
+        self.part, self.hp, self.reads_fakes = part, hp, reads_fakes
+        self.nets, self.opts = {}, {}
+        for net in part.nets:
+            spec = NetworkSpec(
+                role=net.role,
+                image_size=dataset.image_size,
+                channels=dataset.channels,
+                num_classes=dataset.num_classes,
+                base_width=hp.base_width,
+                conditional=net.conditional,
+                depth=hp.depth if net.role == "classifier" else 1,  # others ignore it; checkpoints keep 1
+            )
+            self.nets[net.key] = build_network(spec, Rng(hp.seed, f"init/{net.key}"))
+            self.opts[net.key] = Adam(self.nets[net.key].trainable_parameters(), getattr(hp, net.lr), betas=net.betas)
+        self.latents = Rng(hp.seed, "latent")  # a shared run draws its own fakes
+        self.steps = []
+
+
+class _Run:
+    """A run of a job: its halves, its history, and the error that stopped it."""
+
+    def __init__(self, classifier, gan):
+        self.classifier, self.gan = classifier, gan
+        self.error = None
+        self.history = []
+
+    def epoch_steps(self):
+        """This epoch's StepMetrics: the GAN losses from the GAN half, the rest
+        from the classifier half."""
+        steps = self.classifier.steps
+        if self.gan is None:
+            return steps
+        return [replace(c, loss_d=g.loss_d, loss_g=g.loss_g) for c, g in zip(steps, self.gan.steps)]
 
 
 def _epoch_means(steps):
@@ -427,69 +515,129 @@ def _epoch_means(steps):
 
 
 @contextlib.contextmanager
-def _feed(recipe, nets, opts, dataset, hp):
-    """The run's minibatches and, for each, its step's item (see `_Variant`).
+def _feed(gan, dataset, hp, read_all):
+    """The job's minibatches and, when it has a GAN half, an iterator of that
+    half's item for each of them (see `_gan_half`).
 
-    An ecgan run's GAN half runs in a forked child when this process may use
-    two cores or more, unless a GAN step has been rebound on this module: a
-    caller that rebinds one to watch it (as tracers and tests do) would see
-    nothing of the calls made in a child. Once the block has read every
+    The GAN half runs in a forked child when this process may use two cores
+    or more, unless a GAN step has been rebound on this module: a caller that
+    rebinds one to watch it (as tracers and tests do) would see nothing of the
+    calls made in a child. If `read_all()` says that the block has read every
     item from a child, G's and D's final state is loaded back here.
     """
     minibatches = _minibatches(dataset, hp)
-    if not recipe.gan_half:
-        yield minibatches, itertools.repeat(Rng(hp.seed, "latent"))
+    if gan is None:
+        yield minibatches, None
     elif usable_cores() < 2 or (discriminator_step, generator_step, classifier_fakes) != _GAN_STEPS:
         minibatches, gan_minibatches = itertools.tee(minibatches)
-        yield minibatches, _gan_half(nets, opts, gan_minibatches, hp)
+        yield minibatches, _gan_half(gan.nets, gan.opts, gan_minibatches, gan.hp)
     else:
-        gan = _gan_half(nets, opts, _minibatches(dataset, hp), hp)
-        with ChildStream(gan, lambda: {key: nets[key].state() for key in _GAN_NETS}) as child:
+        items = _gan_half(gan.nets, gan.opts, _minibatches(dataset, hp), gan.hp)
+        with ChildStream(items, lambda: {key: net.state() for key, net in gan.nets.items()}) as child:
             yield minibatches, child
-            for key, state in child.result().items():
-                nets[key].load_state(state)
+            if read_all():
+                for key, state in child.result().items():
+                    gan.nets[key].load_state(state)
+
+
+def train_job(dataset, runs, eval_dataset=None, on_epoch=None):
+    """Train `runs`, a list of (variant, hp) on `dataset`, as one job: each
+    half that runs have in common (see `half_keys`) trains once. Per
+    minibatch the job's GAN half, if any, makes one item, and every
+    classifier half that reads fakes takes them from it.
+
+    The runs must share their minibatches (the `_STREAM` fields) and at most
+    one GAN half. Returns per run its TrainResult, or the TrainingDiverged
+    that stopped it: a run stops at the first divergence of one of its
+    halves, the GAN half's first within a step, as it would alone, and the
+    other runs go on. `on_epoch(i, row)`, when given, gets each history row
+    of run i, for a stopped run those before it stopped. Any other error
+    ends the job.
+    """
+    start = time.perf_counter()
+    keys = [half_keys(variant, hp) for variant, hp in runs]
+    if (
+        len({gan_key for gan_key, _ in keys} - {None}) > 1
+        or len({tuple(getattr(hp, name) for name in _STREAM) for _, hp in runs}) != 1
+    ):
+        raise ContractError("the runs of a job must share their minibatches and at most one GAN half")
+    halves = {}
+    members = []
+    for (variant, hp), (gan_key, classifier_key) in zip(runs, keys):
+        recipe = _VARIANTS[variant]
+        if gan_key is not None and gan_key not in halves:
+            halves[gan_key] = _Half(recipe.gan, dataset, hp)
+        if classifier_key not in halves:
+            halves[classifier_key] = _Half(recipe.classifier, dataset, hp, reads_fakes=gan_key is not None and hp.lam > 0)
+        members.append(_Run(halves[classifier_key], halves.get(gan_key)))
+    gan = next((half for half in halves.values() if half.part.kind == "gan"), None)
+    classifiers = [half for half in halves.values() if half is not gan]
+
+    def readers(half):
+        """The runs that read `half` and have not stopped yet."""
+        return [run for run in members if run.error is None and half in (run.classifier, run.gan)]
+
+    # A run that still reads the GAN half at the end has read every item.
+    with _feed(gan, dataset, runs[0][1], lambda: bool(readers(gan))) as (minibatches, feed):
+        for epoch, epoch_minibatches in itertools.groupby(minibatches, key=lambda m: m[0]):
+            for _, step, batch in epoch_minibatches:
+                fakes = None
+                if gan is not None and readers(gan):
+                    try:
+                        loss_d, loss_g, fakes = next(feed)
+                        gan.steps.append(StepMetrics(loss_d, loss_g))
+                    except TrainingDiverged as e:
+                        for run in readers(gan):
+                            run.error = e
+                for half in classifiers:
+                    if readers(half):
+                        try:
+                            half.steps.append(half.part.update(half, batch, fakes if half.reads_fakes else None, step))
+                        except TrainingDiverged as e:
+                            for run in readers(half):
+                                run.error = e
+            if all(run.error is not None for run in members):
+                break
+            accuracy = {}
+            for half in classifiers:
+                if readers(half):
+                    net = half.nets["classifier"] if "classifier" in half.nets else half.nets["shared"]
+                    accuracy[half] = {
+                        "train_acc": evaluate(net, dataset),
+                        "test_acc": evaluate(net, eval_dataset) if eval_dataset else float("nan"),
+                    }
+            for i, run in enumerate(members):
+                if run.error is None:
+                    row = {"epoch": epoch, **_epoch_means(run.epoch_steps()), **accuracy[run.classifier]}
+                    run.history.append(row)
+                    if on_epoch is not None:
+                        on_epoch(i, row)
+            for half in halves.values():
+                half.steps = []
+
+    seconds = time.perf_counter() - start
+    return [
+        run.error if run.error is not None else TrainResult(
+            networks={**run.classifier.nets, **(run.gan.nets if run.gan else {})},
+            history=run.history,
+            seconds=seconds,
+        )
+        for run in members
+    ]
 
 
 def train(variant, dataset, hp, eval_dataset=None, on_epoch=None):
-    """Run one training job; returns the trained networks and per-epoch history.
+    """Train one run; returns the trained networks and per-epoch history.
 
     History rows carry epoch means of the step losses and keep rate plus
     train/test accuracy. `on_epoch`, when given, is called with each row.
     An error is the one a one-core run raises first, after the same rows.
     """
-    if variant not in _VARIANTS:
-        raise SpecError(f"unknown variant {variant!r}")
-    recipe = _VARIANTS[variant]
-    start = time.perf_counter()
+    def on_row(_, row):
+        if on_epoch is not None:
+            on_epoch(row)
 
-    nets = {}
-    opts = {}
-    for net in recipe.nets:
-        spec = NetworkSpec(
-            role=net.role,
-            image_size=dataset.image_size,
-            channels=dataset.channels,
-            num_classes=dataset.num_classes,
-            base_width=hp.base_width,
-            conditional=net.conditional,
-            depth=hp.depth if net.role == "classifier" else 1,  # others ignore it; checkpoints keep 1
-        )
-        nets[net.key] = build_network(spec, Rng(hp.seed, f"init/{net.key}"))
-        opts[net.key] = Adam(nets[net.key].trainable_parameters(), getattr(hp, net.lr), betas=net.betas)
-
-    classifier = nets["classifier"] if "classifier" in nets else nets["shared"]
-    history = []
-    with _feed(recipe, nets, opts, dataset, hp) as (minibatches, feed):
-        for epoch, epoch_minibatches in itertools.groupby(minibatches, key=lambda m: m[0]):
-            steps = [recipe.step(nets, opts, batch, hp, next(feed), step) for _, step, batch in epoch_minibatches]
-            row = {
-                "epoch": epoch,
-                **_epoch_means(steps),
-                "train_acc": evaluate(classifier, dataset),
-                "test_acc": evaluate(classifier, eval_dataset) if eval_dataset else float("nan"),
-            }
-            history.append(row)
-            if on_epoch is not None:
-                on_epoch(row)
-
-    return TrainResult(networks=nets, history=history, seconds=time.perf_counter() - start)
+    (result,) = train_job(dataset, [(variant, hp)], eval_dataset=eval_dataset, on_epoch=on_row)
+    if isinstance(result, TrainingDiverged):
+        raise result
+    return result

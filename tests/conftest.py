@@ -1,5 +1,6 @@
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,3 +36,21 @@ def count_gan_children(monkeypatch):
     real = training.ChildStream
     monkeypatch.setattr(training, "ChildStream", lambda *a: started.append(1) or real(*a))
     return started
+
+
+def count_half_steps(monkeypatch):
+    """A Counter of the steps this process trains: "gan" gets one per D step,
+    so one per minibatch of each GAN half, and "classifier" one per
+    classifier step, one per minibatch of each ecgan or baseline classifier
+    half. Rebinding the D step keeps a GAN half in the process that trains
+    its job; with one core, that is this one."""
+    from ecgan import training
+
+    counts = Counter()
+
+    def counted(kind, real):
+        return lambda *a, **k: counts.update([kind]) or real(*a, **k)
+
+    monkeypatch.setattr(training, "discriminator_step", counted("gan", training.discriminator_step))
+    monkeypatch.setattr(training, "classifier_step", counted("classifier", training.classifier_step))
+    return counts

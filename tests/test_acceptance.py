@@ -4,7 +4,8 @@ One test per numbered criterion, in order; each prints a single
 ``CRITERION n PASS/FAIL`` line (visible under ``pytest -s`` or in failure
 output) with the measured values next to their tolerances. The synthetic
 study protocol (criteria 5-8) shares one session-scoped run cache: its 21
-(variant, lambda, seed) cells train once, up front, on every usable core.
+(variant, lambda, seed) cells train once, up front, on every usable core;
+the ecgan cells at lambda 0.1 and 1.0 of a seed share one GAN half.
 """
 
 import json

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import count_gan_children, set_cores
+from conftest import count_gan_children, count_half_steps, set_cores
 
 import ecgan.cli as cli
 import ecgan.harness as H
@@ -290,12 +290,17 @@ def two_seed_config(tmp_path, seeds=(0, 1)):
     )
 
 
-@pytest.mark.parametrize("command", ["train", "train_one_seed", "sweep"])
+@pytest.mark.parametrize("command", ["train", "train_one_seed", "sweep", "sweep_lambda", "sweep_strategy"])
 def test_outputs_do_not_depend_on_core_count(tmp_path, monkeypatch, command):
-    # Two cells train in two workers, each on one core; one ecgan cell trains
-    # here, with its GAN half in a forked child.
+    # Jobs train in two workers, each on one core; one ecgan cell trains
+    # here, with its GAN half in a forked child. In the sweeps jobs share
+    # halves: lambda 0.1 and 1 a GAN half, decay on and off too, and
+    # lambda 0 the baseline's classifier half.
     path, doc = two_seed_config(tmp_path, seeds=[0] if command == "train_one_seed" else [0, 1])
-    run = (lambda: H.cmd_sweep(path, "lambda")) if command == "sweep" else (lambda: H.cmd_train(path))
+    if command == "sweep_lambda":
+        path, doc = tiny_config(tmp_path, **{**doc, "lambdas": [0.0, 0.1, 1.0]})
+    axis = {"sweep": "lambda", "sweep_lambda": "lambda", "sweep_strategy": "strategy"}.get(command)
+    run = (lambda: H.cmd_sweep(path, axis)) if axis else (lambda: H.cmd_train(path))
     gan_children = count_gan_children(monkeypatch)
     outputs = {}
     for cores in (1, 2):
@@ -307,30 +312,35 @@ def test_outputs_do_not_depend_on_core_count(tmp_path, monkeypatch, command):
     assert outputs[1] == outputs[2]
     names = {p.name for p in outputs[1]}
     assert {"metrics.csv", "run.json"} <= names
-    assert ("sweep_summary.csv" in names) == (command == "sweep")
-    assert any(name.endswith(".ckpt") for name in names) == (command != "sweep")
+    assert ("sweep_summary.csv" in names) == (axis is not None)
+    assert any(name.endswith(".ckpt") for name in names) == (axis is None)
 
 
 def test_cell_divergence_in_a_worker_reaches_caller(tmp_path, monkeypatch):
     path, doc = two_seed_config(tmp_path)
-    real_train = H.train
+    real_train_job = H.train_job
+    real_check = training._check_finite
 
-    def train(variant, dataset, hp, eval_dataset=None, on_epoch=None):
-        if (variant, hp.lam, hp.seed) != ("ecgan", 0.0, 1):
-            return real_train(variant, dataset, hp, eval_dataset=eval_dataset, on_epoch=on_epoch)
+    def nan_in_second_epoch(value, step, what):
+        return real_check(float("nan") if (what, step) == ("discriminator loss", 1) else value, step, what)
 
-        def diverge_after_first_epoch(row):
-            on_epoch(row)
-            raise TrainingDiverged("classifier loss became non-finite (nan)", step=3)
+    def train_job(dataset, runs, **kwargs):
+        # The GAN half of ecgan lambda 0 seed 1 diverges in its second epoch
+        # (one step per epoch); its baseline twin reads only the job's
+        # classifier half and finishes.
+        if ("ecgan", 0.0, 1) not in [(variant, hp.lam, hp.seed) for variant, hp in runs]:
+            return real_train_job(dataset, runs, **kwargs)
+        training._check_finite = nan_in_second_epoch
+        try:
+            return real_train_job(dataset, runs, **kwargs)
+        finally:
+            training._check_finite = real_check
 
-        return real_train(variant, dataset, hp, eval_dataset=eval_dataset,
-                          on_epoch=diverge_after_first_epoch)
-
-    monkeypatch.setattr(H, "train", train)  # forked workers inherit the patch
+    monkeypatch.setattr(H, "train_job", train_job)  # forked workers inherit the patch
     metrics = {}
     for cores in (1, 2):
         set_cores(monkeypatch, cores)
-        with pytest.raises(TrainingDiverged, match=r"non-finite \(nan\) \(step 3\)"):
+        with pytest.raises(TrainingDiverged, match=r"non-finite \(nan\) \(step 1\)"):
             H.cmd_sweep(path, "lambda")
         assert multiprocessing.active_children() == []
         assert not os.path.exists(os.path.join(doc["output_dir"], "sweep_summary.csv"))
@@ -348,18 +358,112 @@ def test_cell_divergence_in_a_worker_reaches_caller(tmp_path, monkeypatch):
 
 
 def test_cell_workers_split_the_cores(tmp_path, monkeypatch):
-    real_train = H.train
+    real_train_job = H.train_job
 
-    def train(*args, **kwargs):
+    def train_job(*args, **kwargs):
         cores = training.usable_cores()
         if cores != 2:  # raised in the worker, re-raised here
             raise AssertionError(f"each of two workers on four cores may use 2, not {cores}")
-        return real_train(*args, **kwargs)
+        return real_train_job(*args, **kwargs)
 
-    monkeypatch.setattr(H, "train", train)
+    monkeypatch.setattr(H, "train_job", train_job)
     set_cores(monkeypatch, 4)
     path, _ = tiny_config(tmp_path, seeds=[0, 1])
     assert H.cmd_train(path) == 0
+
+
+def sweep_cells(cfg, axis):
+    """The cells of `cmd_sweep`, in its order."""
+    return list(dict.fromkeys(
+        H.Cell(variant, percent, lam, seed, aug, dec)
+        for _, variant, percent, lam, aug, dec in H._sweep_cells(cfg, axis)
+        for seed in cfg.seeds
+    ))
+
+
+@pytest.mark.parametrize("diverges", ["classifier", "gan"])
+def test_divergence_inside_a_job_is_that_of_one_cell_at_a_time(tmp_path, monkeypatch, diverges):
+    # lambda 0.1 and 1.0 share a job's GAN half; lambda 0 shares its
+    # classifier half with the baseline. Two steps per epoch.
+    path, doc = tiny_config(
+        tmp_path, variant="ecgan", lambdas=[0.0, 0.1, 1.0], seeds=[0],
+        hyperparams={"batch_size": 4, "epochs": 2, "base_width": 8, "depth": 1,
+                     "lr_c": 2e-3, "threshold": 0.4},
+    )
+    if diverges == "classifier":
+        # lambda 1.0's classifier half, in epoch 1: lambda 0.1 finishes
+        real_c = training.classifier_step
+
+        def classifier_step(c, fakes, batch, hp, opt_c, step=0):
+            if hp.lam == 1.0 and step == 2:
+                raise TrainingDiverged("classifier loss became non-finite (nan)", step=step)
+            return real_c(c, fakes, batch, hp, opt_c, step=step)
+
+        monkeypatch.setattr(training, "classifier_step", classifier_step)
+    else:
+        # every GAN half, in epoch 1: the baseline finishes before ecgan lambda 0 stops
+        real_check = training._check_finite
+        monkeypatch.setattr(training, "_check_finite", lambda value, step, what: real_check(
+            float("nan") if (what, step) == ("discriminator loss", 2) else value, step, what))
+    cfg = load_config(path)
+    train_ds, test_ds = H.load_datasets(cfg.dataset)
+    expected_rows = {}
+    for cores in (1, 2):
+        set_cores(monkeypatch, cores)
+        writer = H._MetricsWriter(str(tmp_path / "alone.csv"))
+        with pytest.raises(TrainingDiverged) as alone:
+            for cell in sweep_cells(cfg, "lambda"):
+                H.run_cells(cfg, train_ds, test_ds, [cell], writer=writer)
+        writer.close()
+        expected_rows[cores] = (tmp_path / "alone.csv").read_bytes()
+        with pytest.raises(TrainingDiverged) as job:
+            H.cmd_sweep(path, "lambda")
+        assert multiprocessing.active_children() == []
+        assert (str(job.value), job.value.step) == (str(alone.value), alone.value.step)
+        assert str(job.value).startswith("classifier" if diverges == "classifier" else "discriminator")
+        assert (Path(doc["output_dir"]) / "metrics.csv").read_bytes() == expected_rows[cores]
+    assert expected_rows[1] == expected_rows[2]
+    finished = {r["run_id"] for r in read_metrics(doc["output_dir"]) if r["epoch"] == "1"}
+    assert ("ecgan_p100_l0.1_s0" if diverges == "classifier" else "baseline_p100_l0_s0") in finished
+
+
+def test_a_job_has_at_most_one_gan_half(tmp_path, monkeypatch):
+    # Both lambda 0 cells read the baseline's classifier half, but their GAN
+    # halves differ: the conditional cell trains that classifier half again.
+    path, _ = tiny_config(tmp_path, hyperparams={"batch_size": 4, "epochs": 2, "base_width": 8, "depth": 1})
+    cfg = load_config(path)
+    train_ds, test_ds = H.load_datasets(cfg.dataset)
+    cells = [H.Cell(variant, 100, 0.0, 0) for variant in ("baseline", "ecgan", "ecgan_conditional")]
+    assert [job.cells for job in H._jobs(cfg, cells)] == [[0, 1], [2]]
+    set_cores(monkeypatch, 1)
+    together = H.run_cells(cfg, train_ds, test_ds, cells)
+    for cell, result in zip(cells, together):
+        (alone,) = H.run_cells(cfg, train_ds, test_ds, [cell])
+        assert result.history == alone.history
+    assert together[0].networks["classifier"] is together[1].networks["classifier"]
+    assert together[2].networks["classifier"] is not together[0].networks["classifier"]
+
+
+def test_jobs_of_a_lambda_zero_strategy_sweep(tmp_path):
+    # Per augment setting, decay on and off share ecgan's lambda 0 GAN half,
+    # and each shares its classifier half with a baseline cell: the job that
+    # decay on starts takes in the one decay off started.
+    path, _ = tiny_config(tmp_path, hyperparams={"lambda": 0.0})
+    cfg = load_config(path)
+    jobs = H._jobs(cfg, sweep_cells(cfg, "strategy"))  # (baseline, ecgan, shared) per setting
+    assert [job.cells for job in jobs] == [[0, 1, 3, 4], [2], [5], [6, 7, 9, 10], [8], [11]]
+    assert [job.cost for job in jobs] == [5, 1, 1, 5, 1, 1]
+
+
+def test_a_lambda_sweep_trains_each_half_once(tmp_path, monkeypatch):
+    # One minibatch: ecgan lambda 0 shares the baseline's classifier half,
+    # lambda 0.1 and 1.0 share a GAN half. One cell at a time trains 3 GAN
+    # halves and 4 classifier halves.
+    path, _ = tiny_config(tmp_path, variant="ecgan", lambdas=[0.0, 0.1, 1.0])
+    steps = count_half_steps(monkeypatch)
+    set_cores(monkeypatch, 1)
+    assert H.cmd_sweep(path, "lambda") == 0
+    assert steps == {"gan": 2, "classifier": 3}
 
 
 def test_one_cell_trains_in_process(tmp_path, monkeypatch):
@@ -396,14 +500,14 @@ def test_diverged_train_leaves_no_run_json(tmp_path, monkeypatch, rerun):
     if rerun:
         assert H.cmd_train(path) == 0
         assert os.path.exists(os.path.join(out, "run.json"))
-    real_train = H.train
+    real_train_job = H.train_job
 
-    def train(variant, dataset, hp, **kwargs):
-        if hp.seed == 1:
-            raise TrainingDiverged("classifier loss became non-finite (nan)", step=0)
-        return real_train(variant, dataset, hp, **kwargs)
+    def train_job(dataset, runs, **kwargs):
+        if any(hp.seed == 1 for _, hp in runs):
+            return [TrainingDiverged("classifier loss became non-finite (nan)", step=0) for _ in runs]
+        return real_train_job(dataset, runs, **kwargs)
 
-    monkeypatch.setattr(H, "train", train)
+    monkeypatch.setattr(H, "train_job", train_job)
     with pytest.raises(TrainingDiverged):
         H.cmd_train(path)
     assert not os.path.exists(os.path.join(out, "run.json"))

@@ -1,5 +1,8 @@
 """Network architectures: shapes, initialization, routing, and gradients."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -256,6 +259,24 @@ def test_train_eval_mode():
     assert c.train().training
 
 
+@pytest.mark.parametrize("role", N.ROLES)
+def test_network_is_freed_by_reference_counting(role):
+    """No part of a network points back at it: with the cyclic GC off, a
+    network goes as soon as its last reference does."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        net = build(role)
+        net.eval()(Tensor(np.zeros((2, N.LATENT_DIM) if role == "generator" else (2, 1, 32, 32), np.float32)))
+        ref = weakref.ref(net)
+        del net
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # behavior details
 
@@ -266,7 +287,7 @@ def test_residual_block_reduces_to_relu_identity():
     c._params["stage0.block0.conv2.w"].data[...] = 0.0
     block = c.stages[0][0]
     x = Tensor(np.random.default_rng(0).normal(size=(2, 8, 8, 8)).astype(np.float32))
-    out = block(x, update_stats=False)
+    out = block(x, c.training, update_stats=False)
     assert np.allclose(out.data, np.maximum(x.data, 0.0), atol=1e-6)
 
 

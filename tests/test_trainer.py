@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import count_gan_children, set_cores
+from conftest import count_gan_children, count_half_steps, set_cores
 
 import ecgan.data as D
 import ecgan.tensor as T
@@ -456,6 +456,86 @@ def test_on_epoch_error_ends_the_gan_child(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def assert_same_run(a, b):
+    """Equal histories and equal arrays in every network."""
+    assert a.history == b.history
+    assert list(a.networks) == list(b.networks)
+    for key, net in a.networks.items():
+        for (n, p), (_, q) in zip(net.parameters(), b.networks[key].parameters()):
+            assert p.data.dtype == q.data.dtype
+            np.testing.assert_array_equal(p.data, q.data, err_msg=f"{key}/{n}")
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_job_trains_each_run_as_it_trains_alone(monkeypatch, cores):
+    ds = tiny_dataset(4, seed=33)
+    runs = [
+        ("ecgan", HyperParams(**{**PIPELINE_HP, "lam": lam, "weight_decay": decay}))
+        for lam in (0.1, 1.0) for decay in (1e-3, 0.0)
+    ]
+    set_cores(monkeypatch, 1)
+    alone = [train(variant, ds, hp, eval_dataset=ds) for variant, hp in runs]
+    # What lets the four share a GAN half: none of them changes it.
+    for result in alone[1:]:
+        for key in ("generator", "discriminator"):
+            for (n, p), (_, q) in zip(result.networks[key].parameters(), alone[0].networks[key].parameters()):
+                np.testing.assert_array_equal(p.data, q.data, err_msg=f"{key}/{n}")
+        gan_losses = [[(row["loss_d"], row["loss_g"]) for row in r.history] for r in (result, alone[0])]
+        assert gan_losses[0] == gan_losses[1]
+    started = count_gan_children(monkeypatch)
+    set_cores(monkeypatch, cores)
+    rows = []
+    job = TR.train_job(ds, runs, eval_dataset=ds, on_epoch=lambda i, row: rows.append((i, row)))
+    assert multiprocessing.active_children() == []
+    assert len(started) == (cores == 2)
+    assert rows == [(i, result.history[epoch]) for epoch in range(PIPELINE_HP["epochs"]) for i, result in enumerate(job)]
+    for a, b in zip(alone, job):
+        assert_same_run(a, b)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("diverges", [None, 3], ids=["finishes", "gan-diverges"])
+def test_lambda_zero_shares_the_baselines_classifier_half(monkeypatch, cores, diverges):
+    ds = tiny_dataset(4, seed=34)
+    hp = HyperParams(**{**PIPELINE_HP, "lam": 0.0})
+    real_check = TR._check_finite
+    monkeypatch.setattr(TR, "_check_finite", lambda value, step, what: real_check(
+        float("nan") if (what, step) == ("discriminator loss", diverges) else value, step, what))
+    set_cores(monkeypatch, 1)
+    baseline = train("baseline", ds, hp, eval_dataset=ds)
+    ecgan_rows = []
+    try:
+        ecgan = train("ecgan", ds, hp, eval_dataset=ds, on_epoch=ecgan_rows.append)
+    except TrainingDiverged as e:
+        ecgan = e
+    if diverges is None:  # the identities sharing rests on
+        for (n, p), (_, q) in zip(
+            ecgan.networks["classifier"].parameters(), baseline.networks["classifier"].parameters()
+        ):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=n)
+        gan_columns = ("loss_d", "loss_g")
+        assert [{k: v for k, v in row.items() if k not in gan_columns} for row in ecgan.history] == [
+            {k: v for k, v in row.items() if k not in gan_columns} for row in baseline.history
+        ]
+    started = count_gan_children(monkeypatch)
+    set_cores(monkeypatch, cores)
+    steps = count_half_steps(monkeypatch) if cores == 1 else None
+    rows = []
+    job = TR.train_job(ds, [("baseline", hp), ("ecgan", hp)], eval_dataset=ds, on_epoch=lambda i, row: rows.append((i, row)))
+    assert multiprocessing.active_children() == []
+    assert_same_run(job[0], baseline)
+    assert [row for i, row in rows if i == 1] == ecgan_rows
+    if diverges is None:
+        assert_same_run(job[1], ecgan)
+        assert job[0].networks["classifier"] is job[1].networks["classifier"]
+    else:
+        assert isinstance(job[1], TrainingDiverged) and str(job[1]) == str(ecgan)
+    if cores == 1:
+        assert steps["classifier"] == 2 * hp.epochs  # one classifier half, two steps per epoch
+    else:
+        assert len(started) == 1
+
+
 def test_lambda_zero_run_equals_baseline_run():
     ds = tiny_dataset(4, seed=20)
     hp0 = HyperParams(lam=0.0, batch_size=6, epochs=2, seed=3, base_width=8, depth=1)
@@ -534,11 +614,8 @@ def test_epoch_graphs_free_without_cyclic_gc(monkeypatch, variant):
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        # a network is a cycle of its own (through `_Bn.net`), which this
-        # test does not cover: keep the result alive past the collection
-        result = train(variant, ds, hp, eval_dataset=ds)
+        train(variant, ds, hp, eval_dataset=ds)
         gc.collect()
-        del result
         cyclic = [type(o).__name__ for o in gc.garbage if isinstance(o, (T.Tensor, T.Node))]
         assert cyclic == []
     finally:
