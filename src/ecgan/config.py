@@ -17,6 +17,7 @@ feeding that file back in reproduces the run.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -101,8 +102,8 @@ class ExperimentConfig:
             if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0 < p <= 100:
                 raise ConfigError(f"dataset_percent entries must be in (0,100], got {p!r}")
         for v in self.lambdas:
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
-                raise ConfigError(f"lambdas entries must be >= 0, got {v!r}")
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v < math.inf:
+                raise ConfigError(f"lambdas entries must be finite and >= 0, got {v!r}")
         for s in self.seeds:
             if not isinstance(s, int) or isinstance(s, bool):
                 raise ConfigError(f"seeds entries must be integers, got {s!r}")

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from multiprocessing.connection import wait
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +29,7 @@ from .config import load_config, split_specs
 from .data import SOURCES, denormalize, load_source, subsample, value_type
 from .errors import ContractError, DataError, TrainingDiverged
 from .networks import conditional_latent, draw_latent
-from .processes import FORK, one_blas_thread
+from .processes import ChildStream
 from .tensor import Rng, no_grad
 from .training import evaluate, train_job, usable_cores
 
@@ -119,34 +120,7 @@ def run_cell(cfg, train_ds, test_ds, job, on_epoch=None):
     return train_job(job_ds, runs, eval_dataset=test_ds, on_epoch=on_epoch)
 
 
-# A cell worker's config and datasets, which it inherits from the command
-# when it forks (see `_start_worker`).
-_worker_inputs = None
-
-
-def _start_worker(core_budget, cfg, train_ds, test_ds):
-    """Keep a forked cell worker to its share of the cores (`evaluate` gets
-    `core_budget` threads and OpenBLAS one), and keep the command's config
-    and datasets, which the fork hands over without pickling them."""
-    global _worker_inputs
-    training.core_budget = core_budget
-    one_blas_thread()
-    _worker_inputs = cfg, train_ds, test_ds
-
-
-def _train_in_worker(job):
-    """Pool entry point for one job. `run_cell` is looked up at call time, so
-    a wrapper bound to that name on the module (as tracers do) is the one that
-    runs; such a wrapper could not be sent to the worker itself."""
-    rows = [[] for _ in job]
-    outcomes = run_cell(*_worker_inputs, job, on_epoch=lambda i, row: rows[i].append(row))
-    for outcome, cell_rows in zip(outcomes, rows):
-        if isinstance(outcome, TrainingDiverged):
-            outcome.rows = cell_rows  # the epochs before the divergence, as a serial run writes them
-    return outcomes
-
-
-# What a half costs, by kind (`training.half_keys`), to submit the longest
+# What a half costs, by kind (`training.half_keys`), to start the longest
 # jobs first: the residual classifier costs about twice the DCGAN pair of a
 # GAN half or of a shared run.
 _HALF_COST = {"classifier": 2, "gan": 1, "shared": 1}
@@ -202,18 +176,19 @@ def run_cells(cfg, train_ds, test_ds, cells, writer=None, on_result=None):
     """Train `cells` and return their TrainResults in cell order.
 
     Cells train in jobs (`_jobs`), so a half that cells share trains once.
-    The jobs run on min(usable cores, jobs) forked worker processes, the
-    longest first; with one job or one core they run here, with no pool.
-    Each worker gets an equal share of the cores, used by `evaluate` and,
-    when it is two or more, by a GAN child (see `training.train_job`), and
-    one OpenBLAS thread. Either way, `writer` gets the cells' history rows
-    in cell order, a cell's rows only once every earlier cell has finished,
-    and `on_result(cell, result)` is called in cell order, so outputs are
-    the same bytes on any number of cores, and metrics.csv is at every
-    moment a prefix of the finished file. The first diverged cell in
-    cell order raises its TrainingDiverged after the earlier cells and its
-    own rows so far are passed on; jobs still running are waited for, jobs
-    not started are dropped. Any other error ends the command at once.
+    Each job trains in a forked child (`ChildStream`) that streams its
+    history rows as epochs finish, at most min(usable cores, jobs) at once,
+    the longest first; with one job or one core they train here, with no
+    child. Each child gets an equal share of the cores, used by `evaluate`
+    and, when it is two or more, by a GAN child (see `training.train_job`),
+    and one OpenBLAS thread. Either way, `writer` gets the cells' history
+    rows in cell order, a cell's rows as soon as every earlier cell has
+    finished, and `on_result(cell, result)` is called in cell order, so
+    outputs are the same bytes on any number of cores, and metrics.csv is
+    at every moment a prefix of the finished file. The first diverged cell
+    in cell order raises its TrainingDiverged after the earlier cells and
+    its own rows so far are passed on. On any error, the children still
+    running are read to their end and jobs not started are dropped.
     """
     jobs = _jobs(cfg, cells)
     cores = usable_cores()
@@ -255,26 +230,34 @@ def run_cells(cfg, train_ds, test_ds, cells, writer=None, on_result=None):
                 finish(i, outcome)
         return results
 
-    core_budget = cores // workers
-    # The workers fork at the first submit, before the pool's manager thread
-    # starts (see `processes` on forking).
-    pool = ProcessPoolExecutor(
-        workers, mp_context=FORK, initializer=_start_worker,
-        initargs=(core_budget, cfg, train_ds, test_ds),
-    )
+    def train_in_child(job, send):
+        # `run_cell` is looked up here, in the child, so a wrapper bound to
+        # that name on the module (as tracers do) is the one that runs.
+        training.core_budget = cores // workers
+        return run_cell(cfg, train_ds, test_ds, [cells[i] for i in job.cells], on_epoch=lambda k, row: send((k, row)))
+
+    waiting = sorted(jobs, key=lambda job: -job.cost)
+    running = {}
     try:
-        futures = {
-            job: pool.submit(_train_in_worker, [cells[i] for i in job.cells])
-            for job in sorted(jobs, key=lambda job: -job.cost)
-        }
-        for job in jobs:
-            for i, outcome in zip(job.cells, futures[job].result()):
-                rows = outcome.rows if isinstance(outcome, TrainingDiverged) else outcome.history
-                for row in rows:
-                    add_row(i, row)
-                finish(i, outcome)
+        while running or waiting:
+            while waiting and len(running) < workers:
+                job = waiting.pop(0)
+                running[ChildStream(functools.partial(train_in_child, job))] = job
+            for child in wait(list(running)):
+                try:
+                    k, row = next(child)
+                except StopIteration as end:
+                    job = running.pop(child)
+                    child.close()
+                    for i, outcome in zip(job.cells, end.value):
+                        finish(i, outcome)
+                else:
+                    add_row(running[child].cells[k], row)
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for child in running:
+            with child, contextlib.suppress(Exception):
+                for _ in child:
+                    pass
     return results
 
 

@@ -1,6 +1,7 @@
-"""Process helpers shared by the cell workers (`harness.run_cells`) and the
-GAN half of an ecgan run (`training.train`): one OpenBLAS thread per
-process, and a generator run in a forked child.
+"""Process helpers: one OpenBLAS thread per process, and `ChildStream`,
+the one way the lab forks. `harness.run_cells` runs each parallel job in a
+`ChildStream` that streams the job's history rows, and `training.train_job`
+runs the GAN half of an ecgan run in one that streams its items.
 
 Children are forked, not spawned: they start from the parent's built
 networks and imported package, with any wrapper bound on its modules (as
@@ -50,32 +51,35 @@ def one_blas_thread():
                 break
 
 
-def _run_child(items, finish, conn):
+def _run_child(work, conn):
     one_blas_thread()
     try:
-        for item in items:
-            conn.send(("item", item))
-        conn.send(("result", finish()))
+        conn.send(("return", work(lambda item: conn.send(("item", item)))))
     except Exception as e:  # the reader raises it in place of the next item
         conn.send(("raise", e))
 
 
 class ChildStream:
-    """The items of generator `items`, made in a forked child process.
+    """`work(send)` run in a forked child process, read as an iterator.
 
-    The child sends each item as soon as it is made, blocking while the
-    pipe is full, and after the last one the value of `finish()`, which
-    `result()` returns. An exception in the child is raised by the read
+    `work` calls `send(item)` for each item as soon as it is made, blocking
+    while the pipe is full, and returns a final value. `next()` returns the
+    items in order, then raises `StopIteration(value)` with `work`'s value
+    and joins the child. An exception in the child is raised by the read
     that would have returned the item it stopped, so the reader sees every
-    item before it first. Leaving the `with` block ends the child: it is
-    terminated unless `result()` has already joined it.
+    item before it first. `fileno()` lets `multiprocessing.connection.wait`
+    watch several streams at once. `close()`, also on leaving a `with`
+    block, ends the child: it is terminated if it is still running.
     """
 
-    def __init__(self, items, finish):
+    def __init__(self, work):
         self._conn, child_conn = FORK.Pipe(duplex=False)
-        self._process = FORK.Process(target=_run_child, args=(items, finish, child_conn))
+        self._process = FORK.Process(target=_run_child, args=(work, child_conn))
         self._process.start()
         child_conn.close()
+
+    def __iter__(self):
+        return self
 
     def __next__(self):
         try:
@@ -87,13 +91,13 @@ class ChildStream:
             ) from None
         if kind == "raise":
             raise value
+        if kind == "return":
+            self._process.join()
+            raise StopIteration(value)
         return value
 
-    def result(self):
-        """`finish()`'s value: the message after the last item."""
-        value = next(self)
-        self._process.join()
-        return value
+    def fileno(self):
+        return self._conn.fileno()
 
     def close(self):
         if self._process.is_alive():

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -83,15 +84,15 @@ class HyperParams:
     augment: bool = False
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise SpecError(f"lambda must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise SpecError(f"lambda must be finite and >= 0, got {self.lam}")
         for name in ("lr_g", "lr_d", "lr_c"):
             if not getattr(self, name) > 0:
                 raise SpecError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 <= self.threshold <= 1.0:
             raise SpecError(f"threshold must be in [0,1], got {self.threshold}")
-        if self.weight_decay < 0:
-            raise SpecError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise SpecError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.batch_size < 1 or self.epochs < 1:
             raise SpecError("batch_size and epochs must be >= 1")
 
@@ -276,7 +277,7 @@ def shared_step(sd, g, batch, hp, opt_sd, opt_g, rng, step=0):
     )
 
 
-# Cores this process may use, when it is one of several cell workers that
+# Cores this process may use, when it is one of several job children that
 # share the affinity set (see `harness.run_cells`); None means all of them.
 core_budget = None
 
@@ -355,16 +356,15 @@ def _minibatches(dataset, hp):
             yield epoch, next(step), batch
 
 
-def _gan_half(nets, opts, minibatches, hp):
+def _gan_half(half, minibatches):
     """The GAN half of an ecgan run: per item of `minibatches` the D step,
     the G step and, with lambda > 0, the classifier's fakes, drawing from the
-    latent stream in that order. Yields (loss_d, loss_g, fakes or None)."""
-    g, d = nets["generator"], nets["discriminator"]
-    rng = Rng(hp.seed, "latent")
+    half's latent stream in that order. Yields (loss_d, loss_g, fakes or None)."""
+    g, d, rng = half.nets["generator"], half.nets["discriminator"], half.latents
     for _, step, batch in minibatches:
-        loss_d = discriminator_step(d, g, batch.images, opts["discriminator"], rng, step=step, labels=batch.labels)
-        loss_g = generator_step(g, d, len(batch), opts["generator"], rng, step=step)
-        yield loss_d, loss_g, classifier_fakes(g, len(batch), rng) if hp.lam > 0 else None
+        loss_d = discriminator_step(d, g, batch.images, half.opts["discriminator"], rng, step=step, labels=batch.labels)
+        loss_g = generator_step(g, d, len(batch), half.opts["generator"], rng, step=step)
+        yield loss_d, loss_g, classifier_fakes(g, len(batch), rng) if half.hp.lam > 0 else None
 
 
 def _classifier_update(half, batch, fakes, step):
@@ -481,7 +481,7 @@ class _Half:
             )
             self.nets[net.key] = build_network(spec, Rng(hp.seed, f"init/{net.key}"))
             self.opts[net.key] = Adam(self.nets[net.key].trainable_parameters(), getattr(hp, net.lr), betas=net.betas)
-        self.latents = Rng(hp.seed, "latent")  # a shared run draws its own fakes
+        self.latents = Rng(hp.seed, "latent")  # read by a GAN half and by a shared run
         self.steps = []
 
 
@@ -523,21 +523,29 @@ def _feed(gan, dataset, hp, read_all):
     or more, unless a GAN step has been rebound on this module: a caller that
     rebinds one to watch it (as tracers and tests do) would see nothing of the
     calls made in a child. If `read_all()` says that the block has read every
-    item from a child, G's and D's final state is loaded back here.
+    item from a child, G's and D's final state, its return value, is loaded
+    back here.
     """
     minibatches = _minibatches(dataset, hp)
     if gan is None:
         yield minibatches, None
     elif usable_cores() < 2 or (discriminator_step, generator_step, classifier_fakes) != _GAN_STEPS:
         minibatches, gan_minibatches = itertools.tee(minibatches)
-        yield minibatches, _gan_half(gan.nets, gan.opts, gan_minibatches, gan.hp)
+        yield minibatches, _gan_half(gan, gan_minibatches)
     else:
-        items = _gan_half(gan.nets, gan.opts, _minibatches(dataset, hp), gan.hp)
-        with ChildStream(items, lambda: {key: net.state() for key, net in gan.nets.items()}) as child:
+        def work(send):
+            for item in _gan_half(gan, _minibatches(dataset, hp)):
+                send(item)
+            return {key: net.state() for key, net in gan.nets.items()}
+
+        with ChildStream(work) as child:
             yield minibatches, child
             if read_all():
-                for key, state in child.result().items():
-                    gan.nets[key].load_state(state)
+                try:
+                    next(child)
+                except StopIteration as end:
+                    for key, state in end.value.items():
+                        gan.nets[key].load_state(state)
 
 
 def train_job(dataset, runs, eval_dataset=None, on_epoch=None):

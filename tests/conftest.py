@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import sys
 from collections import Counter
@@ -16,6 +17,17 @@ settings.register_profile(
     derandomize=True,
 )
 settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True)
+def no_children_left():
+    """Fail a test that leaves a child process running."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:  # so that the tests after this one start clean
+        child.terminate()
+        child.join()
+    assert left == [], f"the test left {len(left)} child process(es) running"
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,8 @@ def test_hyper_maps_lambda_key_and_toggles():
         ({"dataset": {"source": "synth", "noise_sigma": "x"}}, "dataset.noise_sigma: expected float, got str"),
         ({"dataset": {"source": "dir", "root": 1, "test_root": "b"}}, "dataset.root: expected str, got int"),
         ({"augment": 1}, "config.augment: expected bool, got int"),
+        ({"lambdas": [float("nan")]}, "lambdas entries must be finite"),
+        ({"lambdas": [0.1, float("inf")]}, "lambdas entries must be finite"),
     ],
 )
 def test_config_validation(tmp_path, overrides, match):
@@ -466,12 +469,39 @@ def test_a_lambda_sweep_trains_each_half_once(tmp_path, monkeypatch):
     assert steps == {"gan": 2, "classifier": 3}
 
 
+def test_rows_reach_metrics_csv_while_their_job_runs(tmp_path, monkeypatch):
+    # The job of the first cell waits after that cell's first row until the
+    # row is in metrics.csv: a job that sends its rows only when it ends
+    # never gets there.
+    path, doc = two_seed_config(tmp_path, seeds=[0])
+    metrics = Path(doc["output_dir"]) / "metrics.csv"
+    real_train_job = H.train_job
+
+    def train_job(dataset, runs, on_epoch=None, **kwargs):
+        def on_row(i, row):
+            on_epoch(i, row)
+            variant, hp = runs[i]
+            if (variant, hp.seed, row["epoch"]) == ("baseline", 0, 0):
+                deadline = time.monotonic() + 20
+                while "baseline_p100_l0_s0,baseline" not in metrics.read_text():
+                    if time.monotonic() > deadline:
+                        raise AssertionError("the first row did not reach metrics.csv within 20 s")
+                    time.sleep(0.01)
+
+        return real_train_job(dataset, runs, on_epoch=on_row, **kwargs)
+
+    monkeypatch.setattr(H, "train_job", train_job)
+    set_cores(monkeypatch, 2)
+    assert H.cmd_sweep(path, "lambda") == 0
+    assert len(read_metrics(doc["output_dir"])) == 10  # 5 cells x 2 epochs
+
+
 def test_one_cell_trains_in_process(tmp_path, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool started for one cell")
+    def no_child(*args, **kwargs):
+        raise AssertionError("a child process started for one cell")
 
     set_cores(monkeypatch, 2)
-    monkeypatch.setattr(H, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(H, "ChildStream", no_child)
     path, doc = tiny_config(tmp_path)
     assert H.cmd_train(path) == 0
     assert len(read_metrics(doc["output_dir"])) == 1

@@ -753,6 +753,10 @@ def test_evaluate_empty_dataset_rejected():
         (dict(lr_c=-0.01), "lr_c"),
         (dict(lr_g=0.0), "lr_g"),
         (dict(lr_d=float("nan")), "lr_d"),
+        (dict(lam=float("nan")), "lambda must be finite"),
+        (dict(lam=float("inf")), "lambda must be finite"),
+        (dict(weight_decay=float("nan")), "weight_decay must be finite"),
+        (dict(weight_decay=float("inf")), "weight_decay must be finite"),
     ],
 )
 def test_hyperparams_validation(kwargs, match):
