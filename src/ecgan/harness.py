@@ -93,12 +93,8 @@ class _MetricsWriter:
 
     def add(self, cell, epoch_row):
         self.writer.writerow([
-            cell.run_id, cell.variant, f"{cell.percent:g}",
-            f"{cell.lam:g}", cell.seed, epoch_row["epoch"],
-            fmt(epoch_row["loss_d"]), fmt(epoch_row["loss_g"]),
-            fmt(epoch_row["loss_c_sup"]), fmt(epoch_row["loss_c_unsup"]),
-            fmt(epoch_row["keep_rate"]), fmt(epoch_row["train_acc"]),
-            fmt(epoch_row["test_acc"]),
+            cell.run_id, cell.variant, f"{cell.percent:g}", f"{cell.lam:g}", cell.seed, epoch_row["epoch"],
+            *(fmt(epoch_row[name]) for name in METRIC_FIELDS[6:]),
         ])
         self.f.flush()
 
@@ -128,12 +124,11 @@ _HALF_COST = {"classifier": 2, "gan": 1, "shared": 1}
 
 class _Job:
     """Cells that train together, as indices into the command's cells, and
-    the keys of the halves they train; `gan` is its GAN half's key or None."""
+    the keys of the halves they train."""
 
     def __init__(self):
         self.cells = []
         self.halves = set()
-        self.gan = None
 
     @property
     def cost(self):
@@ -141,32 +136,26 @@ class _Job:
 
 
 def _jobs(cfg, cells):
-    """Group `cells` into jobs, in the order of their first cells. Cells on
-    the same data that share a half (`training.half_keys`) join one job, so
-    that the half trains once, unless the job would get two GAN halves: then
-    the cell trains its classifier half once more, in its GAN half's job."""
+    """Group `cells` into jobs, in the order of their first cells, so that a
+    half (`training.half_keys`) that cells on the same data share trains
+    once. Each GAN half starts a job that holds every cell reading it; then
+    each cell without a GAN half joins the first job that trains its
+    classifier half, or starts its own. A classifier half that cells with
+    different GAN halves read so trains once in each of their jobs."""
+    keys = [
+        [None if key is None else (cell.percent, key) for key in training.half_keys(cell.variant, _hyper(cfg, cell))]
+        for cell in cells
+    ]
     jobs = []
-
-    def holding(key):
-        return next((job for job in jobs if key in job.halves), None)
-
-    for i, cell in enumerate(cells):
-        gan, classifier = (
-            None if key is None else (cell.percent, key)
-            for key in training.half_keys(cell.variant, _hyper(cfg, cell))
-        )
-        home, share = holding(gan), holding(classifier)
-        if home is None:
-            home = share if share is not None and (gan is None or share.gan is None) else _Job()
-        elif share is not None and share is not home and share.gan is None:
-            home.cells += share.cells
-            home.halves |= share.halves
-            jobs.remove(share)
-        if home not in jobs:
-            jobs.append(home)
-        home.cells.append(i)
-        home.halves.update(key for key in (gan, classifier) if key is not None)
-        home.gan = home.gan or gan
+    for with_gan in (True, False):
+        for i, (gan, classifier) in enumerate(keys):
+            if (gan is not None) == with_gan:
+                home = gan or classifier  # the half whose job the cell joins
+                job = next((job for job in jobs if home in job.halves), None)
+                if job is None:
+                    jobs.append(job := _Job())
+                job.cells.append(i)
+                job.halves |= {gan, classifier} - {None}
     for job in jobs:
         job.cells.sort()
     return sorted(jobs, key=lambda job: job.cells[0])
@@ -188,7 +177,7 @@ def run_cells(cfg, train_ds, test_ds, cells, writer=None, on_result=None):
     at every moment a prefix of the finished file. The first diverged cell
     in cell order raises its TrainingDiverged after the earlier cells and
     its own rows so far are passed on. On any error, the children still
-    running are read to their end and jobs not started are dropped.
+    running are stopped at once and jobs not started are dropped.
     """
     jobs = _jobs(cfg, cells)
     cores = usable_cores()
@@ -255,9 +244,7 @@ def run_cells(cfg, train_ds, test_ds, cells, writer=None, on_result=None):
                     add_row(running[child].cells[k], row)
     finally:
         for child in running:
-            with child, contextlib.suppress(Exception):
-                for _ in child:
-                    pass
+            child.close()
     return results
 
 
@@ -432,10 +419,11 @@ def cmd_eval(ckpt_path, data_spec):
         )
     net = ck.build(key).eval()
     dataset = parse_data_spec(data_spec)
-    if dataset.num_classes != net.spec.num_classes:
-        raise ContractError(
-            f"dataset has {dataset.num_classes} classes, classifier expects {net.spec.num_classes}"
-        )
+    for what in ("num_classes", "image_size", "channels"):
+        if getattr(dataset, what) != getattr(net.spec, what):
+            raise ContractError(
+                f"dataset has {what}={getattr(dataset, what)}, classifier expects {what}={getattr(net.spec, what)}"
+            )
     acc = evaluate(net, dataset)
     print(f"accuracy={acc:.4f}")
     return 0

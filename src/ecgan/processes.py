@@ -8,10 +8,12 @@ networks and imported package, with any wrapper bound on its modules (as
 tracers and tests do), none of which a spawned process could be sent.
 Forking is safe where no other thread of the parent can hold a lock the
 child inherits; `training.evaluate` joins its threads before it returns.
+A child ends when nothing reads it any more (see `ChildStream`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import multiprocessing
 
@@ -51,12 +53,15 @@ def one_blas_thread():
                 break
 
 
-def _run_child(work, conn):
+def _run_child(work, conn, reader):
+    reader.close()  # so that a send fails once the reader's end is closed
     one_blas_thread()
     try:
-        conn.send(("return", work(lambda item: conn.send(("item", item)))))
+        end = ("return", work(lambda item: conn.send(("item", item))))
     except Exception as e:  # the reader raises it in place of the next item
-        conn.send(("raise", e))
+        end = ("raise", e)
+    with contextlib.suppress(BrokenPipeError):  # nothing reads it any more
+        conn.send(end)
 
 
 class ChildStream:
@@ -69,12 +74,14 @@ class ChildStream:
     that would have returned the item it stopped, so the reader sees every
     item before it first. `fileno()` lets `multiprocessing.connection.wait`
     watch several streams at once. `close()`, also on leaving a `with`
-    block, ends the child: it is terminated if it is still running.
+    block, ends the child: it is terminated if it is still running. Once
+    the reader has closed its end or is gone, the child ends quietly at its
+    next send, so the children a child has forked end with it.
     """
 
     def __init__(self, work):
         self._conn, child_conn = FORK.Pipe(duplex=False)
-        self._process = FORK.Process(target=_run_child, args=(work, child_conn))
+        self._process = FORK.Process(target=_run_child, args=(work, child_conn, self._conn))
         self._process.start()
         child_conn.close()
 

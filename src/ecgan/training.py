@@ -36,7 +36,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -493,14 +493,6 @@ class _Run:
         self.error = None
         self.history = []
 
-    def epoch_steps(self):
-        """This epoch's StepMetrics: the GAN losses from the GAN half, the rest
-        from the classifier half."""
-        steps = self.classifier.steps
-        if self.gan is None:
-            return steps
-        return [replace(c, loss_d=g.loss_d, loss_g=g.loss_g) for c, g in zip(steps, self.gan.steps)]
-
 
 def _epoch_means(steps):
     """Per-field means of an epoch's StepMetrics, summed left to right with
@@ -616,7 +608,10 @@ def train_job(dataset, runs, eval_dataset=None, on_epoch=None):
                     }
             for i, run in enumerate(members):
                 if run.error is None:
-                    row = {"epoch": epoch, **_epoch_means(run.epoch_steps()), **accuracy[run.classifier]}
+                    row = {"epoch": epoch, **_epoch_means(run.classifier.steps), **accuracy[run.classifier]}
+                    if run.gan is not None:
+                        gan_means = _epoch_means(run.gan.steps)
+                        row.update(loss_d=gan_means["loss_d"], loss_g=gan_means["loss_g"])
                     run.history.append(row)
                     if on_epoch is not None:
                         on_epoch(i, row)
@@ -641,10 +636,7 @@ def train(variant, dataset, hp, eval_dataset=None, on_epoch=None):
     train/test accuracy. `on_epoch`, when given, is called with each row.
     An error is the one a one-core run raises first, after the same rows.
     """
-    def on_row(_, row):
-        if on_epoch is not None:
-            on_epoch(row)
-
+    on_row = on_epoch and (lambda _, row: on_epoch(row))
     (result,) = train_job(dataset, [(variant, hp)], eval_dataset=eval_dataset, on_epoch=on_row)
     if isinstance(result, TrainingDiverged):
         raise result

@@ -1,9 +1,11 @@
 """Config schema, harness outputs, sweeps, CLI behavior."""
 
+import contextlib
 import csv
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -508,6 +510,120 @@ def test_one_cell_trains_in_process(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_a_divergence_stops_the_jobs_still_running(tmp_path, monkeypatch):
+    # Cell 0's job diverges at step 0 while cell 1's job waits after its
+    # first row for a file that never comes. A command that read that job
+    # to its end would find the marker the wait leaves after 20 s.
+    path, _ = tiny_config(tmp_path, seeds=[0, 1])
+    marker = tmp_path / "waited"
+    real_train_job = H.train_job
+
+    def train_job(dataset, runs, on_epoch=None, **kwargs):
+        if runs[0][1].seed == 0:
+            return [TrainingDiverged("classifier loss became non-finite (nan)", step=0) for _ in runs]
+
+        def on_row(i, row):
+            on_epoch(i, row)
+            deadline = time.monotonic() + 20
+            while not (tmp_path / "never").exists():
+                if time.monotonic() > deadline:
+                    marker.write_text("the job was read to its end")
+                    return
+                time.sleep(0.01)
+
+        return real_train_job(dataset, runs, on_epoch=on_row, **kwargs)
+
+    monkeypatch.setattr(H, "train_job", train_job)  # forked jobs inherit the patch
+    set_cores(monkeypatch, 2)
+    with pytest.raises(TrainingDiverged, match=r"\(step 0\)"):
+        H.cmd_train(path)
+    assert multiprocessing.active_children() == []
+    assert not marker.exists()
+
+
+def test_job_children_fork_their_gan_halves(tmp_path, monkeypatch):
+    # On four cores each of two ecgan jobs may use two, so each job child
+    # trains its cell's GAN half in a child of its own: the patched
+    # ChildStream logs the pid of the process that forks one.
+    path, doc = two_seed_config(tmp_path)
+    log = tmp_path / "gan_children"
+    real = training.ChildStream
+
+    def child_stream(work):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(work)
+
+    monkeypatch.setattr(training, "ChildStream", child_stream)
+    outputs = {}
+    for cores in (1, 4):
+        set_cores(monkeypatch, cores)
+        assert H.cmd_train(path) == 0
+        assert multiprocessing.active_children() == []
+        outputs[cores] = output_bytes(doc["output_dir"])
+    forks = log.read_text().split()
+    assert len(forks) == len(set(forks)) == 2 and str(os.getpid()) not in forks
+    assert outputs[1] == outputs[4]
+
+
+def session_processes(sid):
+    """Pids of the processes of session `sid` that are not zombies."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                state, _, _, session = f.read().rsplit(")", 1)[1].split()[:4]
+        except OSError:  # the process has gone
+            continue
+        if state != "Z" and int(session) == sid:
+            pids.append(int(entry))
+    return pids
+
+
+# `python -m ecgan` with its affinity set faked to four cores, so that it
+# forks on any machine.
+_ECGAN_ON_FOUR_CORES = (
+    "import os, runpy; os.sched_getaffinity = lambda pid: set(range(4)); "
+    "runpy.run_module('ecgan', run_name='__main__')"
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads the session's processes from /proc")
+@pytest.mark.parametrize("command, seeds, processes", [
+    (["train"], [0], 2),  # one cell here and its GAN child
+    (["train"], [0, 1], 5),  # two job children, each with a GAN child
+    (["sweep", "--axis", "lambda"], [0, 1], 5),  # four job children
+])
+def test_children_end_when_the_command_is_killed(tmp_path, command, seeds, processes):
+    # A child whose reader is gone ends at its next send instead of blocking.
+    path, _ = tiny_config(
+        tmp_path, variant="ecgan", lambdas=[0.0, 0.5], seeds=seeds,
+        hyperparams={"batch_size": 8, "epochs": 100000, "base_width": 8, "depth": 1},
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("ECGAN_SEED", None)
+    leader = subprocess.Popen(
+        [sys.executable, "-c", _ECGAN_ON_FOUR_CORES, command[0], path, *command[1:]],
+        env=env, start_new_session=True, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while len(session_processes(leader.pid)) < processes:
+            assert leader.poll() is None and time.monotonic() < deadline, "the children did not start"
+            time.sleep(0.05)
+        leader.terminate()
+        leader.wait(timeout=20)
+        deadline = time.monotonic() + 20
+        while session_processes(leader.pid):
+            assert time.monotonic() < deadline, f"left running: {session_processes(leader.pid)}"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(leader.pid, signal.SIGKILL)
+        leader.wait()
+
+
 def test_failed_run_json_write_leaves_no_partial_file(tmp_path, monkeypatch):
     path, doc = tiny_config(tmp_path)
 
@@ -623,6 +739,33 @@ def test_eval_class_count_mismatch(tmp_path):
     save_checkpoint(path, {"classifier": cls})
     with pytest.raises(ContractError, match="classes"):
         H.cmd_eval(str(path), "synth:n_per_class=4,classes=2,size=16,seed=2")
+
+
+@pytest.mark.parametrize("key, role, spec_size, data", [
+    # a 32-px classifier on 16-px images printed an accuracy and exited 0
+    ("classifier", "classifier", 32, "synth:size=16,n_per_class=10"),
+    # a 16-px shared head on 32-px images ended in numpy's reshape ValueError
+    ("shared", "shared_discriminator", 16, "synth:size=32,n_per_class=2"),
+])
+def test_eval_rejects_images_of_another_size(tmp_path, capsys, key, role, spec_size, data):
+    spec = NetworkSpec(role=role, image_size=spec_size, channels=1, num_classes=3, base_width=8)
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, {key: build_network(spec, Rng(0, "init"))})
+    assert cli.main(["eval", str(path), "--data", data]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: dataset has image_size={48 - spec_size}, classifier expects image_size={spec_size}\n"
+
+
+def test_eval_rejects_images_with_other_channels(tmp_path):
+    for name in ("a.ppm", "b.ppm"):
+        pgm.write_ppm(tmp_path / name, np.zeros((16, 16, 3)))
+    (tmp_path / "labels.csv").write_text("filename,label\na.ppm,0\nb.ppm,1\n")
+    spec = NetworkSpec(role="classifier", image_size=16, channels=1, num_classes=2, base_width=8)
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, {"classifier": build_network(spec, Rng(0, "init"))})
+    with pytest.raises(ContractError, match="channels=3, classifier expects channels=1"):
+        H.cmd_eval(str(path), f"dir:root={tmp_path},size=16,channels=3")
 
 
 def test_eval_needs_classifier(tmp_path):
