@@ -9,7 +9,8 @@ commands, to one core, where every job trains in-process.
 The set, all at 2 epochs, threshold 0.4 and lr_c 2e-3, so fakes are kept:
 `train` of each variant with 2 seeds, percents 100 and 50 and augment on;
 `sweep` on each axis with lambdas 0, 0.1 and 1; a lambda 0 strategy sweep;
-and `train` of the conditional variant at lambda 0 with augment on.
+`train` of the ecgan variant at lambda 0; and `train` of the conditional
+variant at lambda 0 with augment on.
 
     python scripts/output_manifest.py --src . --out OUT [--one-core]
 """
@@ -39,6 +40,7 @@ def commands():
         yield f"sweep_{axis}", {**base, "variant": "ecgan", "hyperparams": HYPERPARAMS}, ["sweep", "--axis", axis]
     lambda0 = {**HYPERPARAMS, "lambda": 0.0}
     yield "sweep_strategy_lambda0", {**base, "variant": "ecgan", "hyperparams": lambda0}, ["sweep", "--axis", "strategy"]
+    yield "train_ecgan_lambda0", {**base, "variant": "ecgan", "hyperparams": lambda0}, ["train"]
     yield "train_conditional_lambda0", {
         **base, "variant": "ecgan_conditional", "augment": True, "hyperparams": lambda0,
     }, ["train"]

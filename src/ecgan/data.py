@@ -9,6 +9,7 @@ for desk-scale experiments. Images are float32 [N,C,H,W] in [0,1] until
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -40,6 +41,8 @@ class Dataset:
         n = self.images.shape[0]
         if n < 1:
             raise DataError("dataset is empty")
+        if 0 in self.images.shape:
+            raise DataError(f"images must have no empty axis, got shape {self.images.shape}")
         if self.labels.shape != (n,):
             raise DataError(f"{n} images but {self.labels.shape} labels")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
@@ -294,6 +297,8 @@ def synth_shapes(n_per_class, num_classes, size, noise_sigma=NOISE_SIGMA, seed=0
         raise SpecError(f"size must be 16 or 32, got {size}")
     if n_per_class < 1:
         raise SpecError(f"n_per_class must be >= 1, got {n_per_class}")
+    if not 0 <= noise_sigma < math.inf:
+        raise SpecError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = Rng(seed, "synth_shapes")
     coords = (np.arange(size) + 0.5) / size * 2.0 - 1.0
     ys, xs = np.meshgrid(coords, coords, indexing="ij")

@@ -21,8 +21,8 @@ Randomness is split into independent named streams (data order and
 augmentation, per-network init, latent draws) derived from one seed, so
 variants sharing a seed see identical real-data batches. So runs that
 differ only in what one half does not read share that half: ecgan runs
-that differ only in lambda > 0, threshold or the classifier's settings
-share a GAN half, and an ecgan run at lambda = 0 has a baseline run's
+that differ only in lambda, threshold or the classifier's settings share
+a GAN half, and an ecgan run at lambda = 0 has a baseline run's
 classifier half. `train_job` trains such runs together, each half once.
 In one process every half of a job reads one stream of minibatches; a
 GAN half in a child makes its own copy from the same seed.
@@ -358,13 +358,13 @@ def _minibatches(dataset, hp):
 
 def _gan_half(half, minibatches):
     """The GAN half of an ecgan run: per item of `minibatches` the D step,
-    the G step and, with lambda > 0, the classifier's fakes, drawing from the
-    half's latent stream in that order. Yields (loss_d, loss_g, fakes or None)."""
+    the G step and the classifier's fakes, drawing from the half's latent
+    stream in that order. Yields (loss_d, loss_g, fakes)."""
     g, d, rng = half.nets["generator"], half.nets["discriminator"], half.latents
     for _, step, batch in minibatches:
         loss_d = discriminator_step(d, g, batch.images, half.opts["discriminator"], rng, step=step, labels=batch.labels)
         loss_g = generator_step(g, d, len(batch), half.opts["generator"], rng, step=step)
-        yield loss_d, loss_g, classifier_fakes(g, len(batch), rng) if half.hp.lam > 0 else None
+        yield loss_d, loss_g, classifier_fakes(g, len(batch), rng)
 
 
 def _classifier_update(half, batch, fakes, step):
@@ -443,9 +443,8 @@ def half_keys(variant, hp):
     classifier half that reads fakes, its GAN half's key. Halves with equal
     keys on the same data train the same bytes.
 
-    A lambda = 0 GAN half draws no fakes, so its latent stream is not that
-    of a lambda > 0 one; and the classifier half of an ecgan run at lambda = 0
-    reads no fakes, so it is a baseline run's classifier half.
+    The classifier half of an ecgan run at lambda = 0 reads no fakes, so it
+    is a baseline run's classifier half.
     """
     if variant not in _VARIANTS:
         raise SpecError(f"unknown variant {variant!r}")
@@ -456,7 +455,7 @@ def half_keys(variant, hp):
 
     if recipe.gan is None:
         return None, key(recipe.classifier)
-    gan = key(recipe.gan, hp.lam > 0)
+    gan = key(recipe.gan)
     if hp.lam == 0:
         return gan, key(recipe.classifier)
     return gan, key(recipe.classifier, gan, hp.lam, hp.threshold)

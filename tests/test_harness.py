@@ -299,7 +299,7 @@ def two_seed_config(tmp_path, seeds=(0, 1)):
 def test_outputs_do_not_depend_on_core_count(tmp_path, monkeypatch, command):
     # Jobs train in two workers, each on one core; one ecgan cell trains
     # here, with its GAN half in a forked child. In the sweeps jobs share
-    # halves: lambda 0.1 and 1 a GAN half, decay on and off too, and
+    # halves: the lambdas of a seed a GAN half, decay on and off too, and
     # lambda 0 the baseline's classifier half.
     path, doc = two_seed_config(tmp_path, seeds=[0] if command == "train_one_seed" else [0, 1])
     if command == "sweep_lambda":
@@ -330,8 +330,8 @@ def test_cell_divergence_in_a_worker_reaches_caller(tmp_path, monkeypatch):
         return real_check(float("nan") if (what, step) == ("discriminator loss", 1) else value, step, what)
 
     def train_job(dataset, runs, **kwargs):
-        # The GAN half of ecgan lambda 0 seed 1 diverges in its second epoch
-        # (one step per epoch); its baseline twin reads only the job's
+        # The GAN half of seed 1's ecgan cells diverges in its second epoch
+        # (one step per epoch); their baseline twin reads only the job's
         # classifier half and finishes.
         if ("ecgan", 0.0, 1) not in [(variant, hp.lam, hp.seed) for variant, hp in runs]:
             return real_train_job(dataset, runs, **kwargs)
@@ -388,7 +388,7 @@ def sweep_cells(cfg, axis):
 
 @pytest.mark.parametrize("diverges", ["classifier", "gan"])
 def test_divergence_inside_a_job_is_that_of_one_cell_at_a_time(tmp_path, monkeypatch, diverges):
-    # lambda 0.1 and 1.0 share a job's GAN half; lambda 0 shares its
+    # The three lambdas share a job's GAN half; lambda 0 shares its
     # classifier half with the baseline. Two steps per epoch.
     path, doc = tiny_config(
         tmp_path, variant="ecgan", lambdas=[0.0, 0.1, 1.0], seeds=[0],
@@ -462,13 +462,13 @@ def test_jobs_of_a_lambda_zero_strategy_sweep(tmp_path):
 
 def test_a_lambda_sweep_trains_each_half_once(tmp_path, monkeypatch):
     # One minibatch: ecgan lambda 0 shares the baseline's classifier half,
-    # lambda 0.1 and 1.0 share a GAN half. One cell at a time trains 3 GAN
-    # halves and 4 classifier halves.
+    # and the three lambdas share a GAN half. One cell at a time trains 3
+    # GAN halves and 4 classifier halves.
     path, _ = tiny_config(tmp_path, variant="ecgan", lambdas=[0.0, 0.1, 1.0])
     steps = count_half_steps(monkeypatch)
     set_cores(monkeypatch, 1)
     assert H.cmd_sweep(path, "lambda") == 0
-    assert steps == {"gan": 2, "classifier": 3}
+    assert steps == {"gan": 1, "classifier": 3}
 
 
 def test_rows_reach_metrics_csv_while_their_job_runs(tmp_path, monkeypatch):
@@ -938,7 +938,9 @@ def test_cli_malformed_checkpoint_exit_code(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "has dtype None" in err
 
 
-@pytest.mark.parametrize("data", ["synth:classes=abc", "synth:n_per_clas=2"])
+@pytest.mark.parametrize("data", [
+    "synth:classes=abc", "synth:n_per_clas=2", "synth:size=16,noise_sigma=nan", "synth:size=16,noise_sigma=-0.1",
+])
 def test_cli_bad_data_spec_exit_code(tmp_path, capsys, data):
     ckpt = tmp_path / "c.ckpt"
     spec = NetworkSpec(role="classifier", image_size=16, channels=1, num_classes=3, base_width=8)
@@ -946,6 +948,39 @@ def test_cli_bad_data_spec_exit_code(tmp_path, capsys, data):
     assert cli.main(["eval", str(ckpt), "--data", data]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["eval_dir", "train_idx"])
+def test_cli_rejects_images_with_an_empty_axis(tmp_path, capsys, command):
+    # numpy's min() over 0x0 images raised a ValueError, which the CLI does
+    # not turn into an error line.
+    if command == "eval_dir":
+        pgm.write_pgm(tmp_path / "a.pgm", np.zeros((4, 4)))
+        (tmp_path / "labels.csv").write_text("filename,label\na.pgm,0\n")
+        ckpt = tmp_path / "c.ckpt"
+        spec = NetworkSpec(role="classifier", image_size=16, channels=1, num_classes=2, base_width=8)
+        save_checkpoint(ckpt, {"classifier": build_network(spec, Rng(0, "init"))})
+        argv, shape = ["eval", str(ckpt), "--data", f"dir:root={tmp_path},size=0"], (1, 1, 0, 0)
+    else:
+        files = {key: str(tmp_path / f"{key}.idx") for key in ("images", "labels")}
+        write_idx(files["images"], files["labels"], np.zeros((2, 1, 0, 0)), [0, 1])
+        path, _ = tiny_config(tmp_path, dataset={
+            "source": "idx", **files, "test_images": files["images"], "test_labels": files["labels"],
+        })
+        argv, shape = ["train", path], (2, 1, 0, 0)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: images must have no empty axis, got shape {shape}\n"
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), -0.1])
+def test_cli_rejects_a_config_noise_sigma_that_is_not_finite_and_non_negative(tmp_path, capsys, sigma):
+    # json.load reads NaN; NaN and negative values skipped the noise, so the
+    # run trained on clean images and wrote the value into run.json.
+    _, doc = tiny_config(tmp_path)
+    path, _ = tiny_config(tmp_path, dataset={**doc["dataset"], "noise_sigma": sigma})
+    assert cli.main(["train", path]) == 2
+    assert capsys.readouterr().err == f"error: noise_sigma must be finite and >= 0, got {sigma}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_os_error_exit_code(tmp_path, capsys):

@@ -471,11 +471,12 @@ def test_a_job_trains_each_run_as_it_trains_alone(monkeypatch, cores):
     ds = tiny_dataset(4, seed=33)
     runs = [
         ("ecgan", HyperParams(**{**PIPELINE_HP, "lam": lam, "weight_decay": decay}))
-        for lam in (0.1, 1.0) for decay in (1e-3, 0.0)
+        for lam in (0.0, 0.1, 1.0) for decay in (1e-3, 0.0)
     ]
     set_cores(monkeypatch, 1)
     alone = [train(variant, ds, hp, eval_dataset=ds) for variant, hp in runs]
-    # What lets the four share a GAN half: none of them changes it.
+    # What lets the six share a GAN half: none of them changes it, and
+    # lambda reaches only the classifier.
     for result in alone[1:]:
         for key in ("generator", "discriminator"):
             for (n, p), (_, q) in zip(result.networks[key].parameters(), alone[0].networks[key].parameters()):
@@ -491,6 +492,18 @@ def test_a_job_trains_each_run_as_it_trains_alone(monkeypatch, cores):
     assert rows == [(i, result.history[epoch]) for epoch in range(PIPELINE_HP["epochs"]) for i, result in enumerate(job)]
     for a, b in zip(alone, job):
         assert_same_run(a, b)
+
+
+@pytest.mark.parametrize("runs", [
+    [("ecgan", HyperParams(**PIPELINE_HP)), ("ecgan_conditional", HyperParams(**PIPELINE_HP))],
+    [("baseline", HyperParams(**PIPELINE_HP)), ("baseline", HyperParams(**{**PIPELINE_HP, "seed": 5}))],
+    [("baseline", HyperParams(**PIPELINE_HP)), ("baseline", HyperParams(**{**PIPELINE_HP, "augment": True}))],
+], ids=["two-gan-halves", "two-seeds", "augment-on-and-off"])
+def test_a_job_rejects_runs_that_cannot_share_it(monkeypatch, runs):
+    started = count_gan_children(monkeypatch)
+    with pytest.raises(ContractError, match="share their minibatches and at most one GAN half"):
+        TR.train_job(tiny_dataset(4, seed=35), runs)
+    assert started == []
 
 
 @pytest.mark.parametrize("cores", [1, 2])
