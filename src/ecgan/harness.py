@@ -18,6 +18,7 @@ import csv
 import functools
 import json
 import os
+from dataclasses import fields
 from multiprocessing.connection import wait
 from typing import NamedTuple
 
@@ -31,11 +32,11 @@ from .errors import ContractError, DataError, TrainingDiverged
 from .networks import conditional_latent, draw_latent
 from .processes import ChildStream
 from .tensor import Rng, no_grad
-from .training import evaluate, train_job, usable_cores
+from .training import StepMetrics, evaluate, train_job, usable_cores
 
 METRIC_FIELDS = [
     "run_id", "variant", "percent", "lambda", "seed", "epoch",
-    "loss_d", "loss_g", "loss_c_sup", "loss_c_unsup", "keep_rate",
+    *(f.name for f in fields(StepMetrics)),
     "train_acc", "test_acc",
 ]
 

@@ -1,13 +1,13 @@
 """Process helpers: one OpenBLAS thread per process, and `ChildStream`,
-the one way the lab forks. `harness.run_cells` runs each parallel job in a
-`ChildStream` that streams the job's history rows, and `training.train_job`
-runs the GAN half of an ecgan run in one that streams its items.
+the one way the lab runs work in parallel. `harness.run_cells` runs each
+parallel job in a `ChildStream` that streams the job's history rows,
+`training.train_job` runs the GAN half of an ecgan run in one that streams
+its items, and `training.evaluate` counts each share of its chunks but the
+first in one that sends the count.
 
 Children are forked, not spawned: they start from the parent's built
 networks and imported package, with any wrapper bound on its modules (as
 tracers and tests do), none of which a spawned process could be sent.
-Forking is safe where no other thread of the parent can hold a lock the
-child inherits; `training.evaluate` joins its threads before it returns.
 A child ends when nothing reads it any more (see `ChildStream`).
 """
 
@@ -31,9 +31,8 @@ def one_blas_thread():
     to speed them up: it doubles CPU time and saves no wall time, and
     beside another busy process it waits for a core at every GEMM. A forked
     child restarts its parent's pool sized for every core, so each child
-    calls this again. `evaluate`'s own threads are not affected. The
-    library is found among this process's mappings; without
-    /proc/self/maps or an OpenBLAS this does nothing.
+    calls this again. The library is found among this process's mappings;
+    without /proc/self/maps or an OpenBLAS this does nothing.
     """
     try:
         with open("/proc/self/maps") as f:

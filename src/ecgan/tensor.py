@@ -15,10 +15,7 @@ A node holds its inputs and never its output, so a graph has no reference
 cycle: it is freed by reference counting as soon as its last output goes.
 
 Tensors and graphs are confined to a single execution context; nothing in
-here is safe to share across concurrent training runs. The one exception
-is forward passes under `no_grad` that leave running statistics alone:
-they only read shared tensors, so threads may run them on one network at
-once while the caller holds `no_grad` (see `training.evaluate`).
+here is safe to share across concurrent training runs.
 """
 
 from __future__ import annotations
@@ -360,8 +357,8 @@ def tanh(a):
 def sigmoid(a):
     # stable on both tails
     x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    y = y.astype(x.dtype)
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
     out = Tensor(y)
 
     def back(g):

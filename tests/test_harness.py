@@ -64,6 +64,25 @@ def test_readme_config_block_shows_the_defaults():
     assert json.loads(block) == ExperimentConfig().resolved()
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_checked_in_configs_build_every_cell(name):
+    # Each cell's HyperParams and half keys, as `train` and `sweep` build
+    # them; nothing is trained.
+    cfg = load_config(str(CONFIGS / name))
+    cells = [H.Cell(cfg.variant, percent, lam, seed)
+             for percent in cfg.dataset_percent for lam in cfg.lambdas for seed in cfg.seeds]
+    if name.startswith("sweep_"):
+        axis = name.removeprefix("sweep_").removesuffix(".json")
+        cells += [H.Cell(variant, percent, lam, seed, aug, dec)
+                  for _, variant, percent, lam, aug, dec in H._sweep_cells(cfg, axis) for seed in cfg.seeds]
+    for cell in cells:
+        training.half_keys(cell.variant, H._hyper(cfg, cell))
+    assert cells
+
+
 def test_defaults_match_published_settings():
     cfg = ExperimentConfig()
     hp = cfg.hyper(seed=0)
@@ -593,13 +612,21 @@ _ECGAN_ON_FOUR_CORES = (
     (["train"], [0], 2),  # one cell here and its GAN child
     (["train"], [0, 1], 5),  # two job children, each with a GAN child
     (["sweep", "--axis", "lambda"], [0, 1], 5),  # four job children
+    # Evaluation of 9,000 images here and in three children, each of which
+    # counts its share to the end and then finds its reader gone.
+    (["eval", "--data", "synth:n_per_class=3000,size=32"], None, 4),
 ])
 def test_children_end_when_the_command_is_killed(tmp_path, command, seeds, processes):
     # A child whose reader is gone ends at its next send instead of blocking.
-    path, _ = tiny_config(
-        tmp_path, variant="ecgan", lambdas=[0.0, 0.5], seeds=seeds,
-        hyperparams={"batch_size": 8, "epochs": 100000, "base_width": 8, "depth": 1},
-    )
+    if command[0] == "eval":
+        path = str(tmp_path / "cls.ckpt")
+        spec = NetworkSpec(role="classifier", image_size=32, channels=1, num_classes=3, base_width=8)
+        save_checkpoint(path, {"classifier": build_network(spec, Rng(0, "init/c"))})
+    else:
+        path, _ = tiny_config(
+            tmp_path, variant="ecgan", lambdas=[0.0, 0.5], seeds=seeds,
+            hyperparams={"batch_size": 8, "epochs": 100000, "base_width": 8, "depth": 1},
+        )
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.pop("ECGAN_SEED", None)

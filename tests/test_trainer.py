@@ -3,8 +3,7 @@
 import gc
 import math
 import multiprocessing
-import sys
-import threading
+import os
 
 import numpy as np
 import pytest
@@ -443,6 +442,17 @@ def test_rebound_gan_step_keeps_the_gan_half_in_process(monkeypatch, name):
     assert started == [] and len(calls) == 4  # two epochs of two steps
 
 
+@pytest.mark.parametrize("lam, made", [(0.0, 0), (0.1, 4)])
+def test_fakes_are_made_only_for_a_classifier_that_reads_them(monkeypatch, lam, made):
+    # Rebinding classifier_fakes keeps the GAN half in this process.
+    calls = []
+    real = TR.classifier_fakes
+    monkeypatch.setattr(TR, "classifier_fakes", lambda *a, **k: calls.append(1) or real(*a, **k))
+    set_cores(monkeypatch, 2)
+    train("ecgan", tiny_dataset(4, seed=30), HyperParams(**{**PIPELINE_HP, "lam": lam}))
+    assert len(calls) == made  # one per step of two epochs of two steps
+
+
 def test_on_epoch_error_ends_the_gan_child(monkeypatch):
     def stop(row):
         raise KeyError("stop after the first epoch")
@@ -672,17 +682,18 @@ def test_evaluate_matches_per_sample_loop():
         assert evaluate(cls, sub) == _per_sample_accuracy(cls, sub), n
 
 
-def test_evaluate_single_core_skips_executor(monkeypatch):
-    ds = tiny_dataset(12, seed=28)
+def test_evaluate_counts_every_share_but_one_in_a_child(monkeypatch):
+    ds = tiny_dataset(12, seed=28)  # 36 images: three 16-image chunks
     cls = _warm_classifier(ds, seed=28)
-    want = evaluate(cls, ds)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("thread pool started with one usable core")
-
-    monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(TR, "ThreadPoolExecutor", no_pool)
-    assert evaluate(cls, ds) == want
+    want = _per_sample_accuracy(cls, ds)
+    started = []
+    real = TR.processes.ChildStream
+    monkeypatch.setattr(TR.processes, "ChildStream", lambda work: started.append(1) or real(work))
+    for cores in (1, 2, 3):
+        started.clear()
+        set_cores(monkeypatch, cores)
+        assert evaluate(cls, ds) == want
+        assert len(started) == cores - 1, cores
 
 
 def test_evaluate_more_workers_than_cores(monkeypatch):
@@ -691,20 +702,13 @@ def test_evaluate_more_workers_than_cores(monkeypatch):
     want = _per_sample_accuracy(cls, ds)
     cls.mode = "train"
     stats = {n: p.data.copy() for n, p in cls.parameters() if "running" in n}
-    threads = threading.active_count()
     monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        accs = [evaluate(cls, ds, batch_size=b) for b in (16, 5)]
-    finally:
-        sys.setswitchinterval(interval)
+    accs = [evaluate(cls, ds, batch_size=b) for b in (16, 5)]
     assert accs == [want, want]
     assert cls.mode == "train"
     for n, p in cls.parameters():
         if "running" in n:
             np.testing.assert_array_equal(p.data, stats[n], err_msg=n)
-    assert threading.active_count() == threads
 
 
 class ChunkFailure(Exception):
@@ -716,9 +720,10 @@ def test_evaluate_chunk_exception_propagates(monkeypatch, in_worker):
     ds = tiny_dataset(12, seed=30)
     cls = _warm_classifier(ds, seed=30)
     class_logits = cls.class_logits
+    caller = os.getpid()
 
     def failing(x, **kwargs):
-        if (threading.current_thread() is not threading.main_thread()) == in_worker:
+        if (os.getpid() != caller) == in_worker:
             raise ChunkFailure("chunk failed")
         return class_logits(x, **kwargs)
 
