@@ -19,9 +19,12 @@ import multiprocessing
 
 FORK = multiprocessing.get_context("fork")
 
-# The call that sizes OpenBLAS's thread pool, by build: numpy's wheels
-# rename the library's symbols, a system OpenBLAS does not.
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+# The calls that read and size OpenBLAS's thread count, by build: numpy's
+# wheels rename the library's symbols, a system OpenBLAS does not.
+_BLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 def one_blas_thread():
@@ -30,8 +33,11 @@ def one_blas_thread():
     The lab's GEMMs (batch size 4) are too small for a second BLAS thread
     to speed them up: it doubles CPU time and saves no wall time, and
     beside another busy process it waits for a core at every GEMM. A forked
-    child restarts its parent's pool sized for every core, so each child
-    calls this again. The library is found among this process's mappings;
+    child keeps its parent's count but not its pool, which the child's
+    first GEMM restarts with that count, so each child calls this again.
+    The count is set only if it is not 1 already: setting it where no pool
+    runs, as in a child, starts a pool whose idle worker spins for about
+    0.1 s of CPU. The library is found among this process's mappings;
     without /proc/self/maps or an OpenBLAS this does nothing.
     """
     try:
@@ -44,11 +50,13 @@ def one_blas_thread():
             library = ctypes.CDLL(path)
         except OSError:  # a mapping that is no loadable library, e.g. "(deleted)"
             continue
-        for name in _BLAS_THREAD_SETTERS:
-            if hasattr(library, name):
-                setter = getattr(library, name)
+        for get_name, set_name in _BLAS_THREAD_CALLS:
+            if hasattr(library, set_name):
+                getter, setter = getattr(library, get_name), getattr(library, set_name)
+                getter.restype = ctypes.c_int
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
+                if getter() != 1:
+                    setter(1)
                 break
 
 

@@ -40,7 +40,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import processes
 from .data import batches, normalize
 from .errors import ContractError, SpecError, TrainingDiverged
 from .networks import NetworkSpec, build_network, draw_latent
@@ -317,10 +316,8 @@ def evaluate(net, dataset, batch_size=16):
     net.eval()
     try:
         with no_grad(), contextlib.ExitStack() as stack:
-            # `processes.ChildStream`, not this module's name for the GAN
-            # half's child, so that a caller watching one sees only that one.
             children = [
-                stack.enter_context(processes.ChildStream(lambda send, share=share: send(count_correct(share))))
+                stack.enter_context(ChildStream(lambda send, share=share: send(count_correct(share))))
                 for share in range(1, workers)
             ]
             correct = count_correct(0) + sum(next(child) for child in children)
@@ -356,21 +353,15 @@ def _minibatches(dataset, hp):
             yield epoch, next(step), batch
 
 
-def _gan_half(half, minibatches, fakes_read):
+def _gan_half(half, minibatches):
     """The GAN half of an ecgan run: per item of `minibatches` the D step,
     the G step and the classifier's fakes, drawing from the half's latent
-    stream in that order. Yields (loss_d, loss_g, fakes). When no classifier
-    reads the fakes (`fakes_read` false), only their latents are drawn, which
-    moves the stream as the fakes would, and fakes is None."""
+    stream in that order. Yields (loss_d, loss_g, fakes)."""
     g, d, rng = half.nets["generator"], half.nets["discriminator"], half.latents
     for _, step, batch in minibatches:
         loss_d = discriminator_step(d, g, batch.images, half.opts["discriminator"], rng, step=step, labels=batch.labels)
         loss_g = generator_step(g, d, len(batch), half.opts["generator"], rng, step=step)
-        if fakes_read:
-            yield loss_d, loss_g, classifier_fakes(g, len(batch), rng)
-        else:
-            draw_latent(len(batch), g.spec.num_classes, g.spec.conditional, rng)
-            yield loss_d, loss_g, None
+        yield loss_d, loss_g, classifier_fakes(g, len(batch), rng)
 
 
 def _classifier_update(half, batch, fakes, step):
@@ -512,9 +503,9 @@ def _epoch_means(steps):
 
 
 @contextlib.contextmanager
-def _feed(gan, dataset, hp, read_all, fakes_read):
+def _feed(gan, dataset, hp, read_all):
     """The job's minibatches and, when it has a GAN half, an iterator of that
-    half's item for each of them (see `_gan_half`, which gets `fakes_read`).
+    half's item for each of them (see `_gan_half`).
 
     The GAN half runs in a forked child when this process may use two cores
     or more, unless a GAN step has been rebound on this module: a caller that
@@ -528,10 +519,10 @@ def _feed(gan, dataset, hp, read_all, fakes_read):
         yield minibatches, None
     elif usable_cores() < 2 or (discriminator_step, generator_step, classifier_fakes) != _GAN_STEPS:
         minibatches, gan_minibatches = itertools.tee(minibatches)
-        yield minibatches, _gan_half(gan, gan_minibatches, fakes_read)
+        yield minibatches, _gan_half(gan, gan_minibatches)
     else:
         def work(send):
-            for item in _gan_half(gan, _minibatches(dataset, hp), fakes_read):
+            for item in _gan_half(gan, _minibatches(dataset, hp)):
                 send(item)
             return {key: net.state() for key, net in gan.nets.items()}
 
@@ -583,8 +574,7 @@ def train_job(dataset, runs, eval_dataset=None, on_epoch=None):
         return [run for run in members if run.error is None and half in (run.classifier, run.gan)]
 
     # A run that still reads the GAN half at the end has read every item.
-    fakes_read = any(half.reads_fakes for half in classifiers)
-    with _feed(gan, dataset, runs[0][1], lambda: bool(readers(gan)), fakes_read) as (minibatches, feed):
+    with _feed(gan, dataset, runs[0][1], lambda: bool(readers(gan))) as (minibatches, feed):
         for epoch, epoch_minibatches in itertools.groupby(minibatches, key=lambda m: m[0]):
             for _, step, batch in epoch_minibatches:
                 fakes = None

@@ -40,13 +40,25 @@ def set_cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+def runs_gan_half(work):
+    """Whether `work`, given to a `ChildStream` by `ecgan.training`, trains a
+    GAN half: `_feed` forks those, and `evaluate` forks its shares."""
+    return work.__qualname__ == "_feed.<locals>.work"
+
+
 def count_gan_children(monkeypatch):
     """A list that gets one entry for each GAN half `training.train` forks."""
     from ecgan import training
 
     started = []
     real = training.ChildStream
-    monkeypatch.setattr(training, "ChildStream", lambda *a: started.append(1) or real(*a))
+
+    def child_stream(work):
+        if runs_gan_half(work):
+            started.append(1)
+        return real(work)
+
+    monkeypatch.setattr(training, "ChildStream", child_stream)
     return started
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import count_gan_children, count_half_steps, set_cores
+from conftest import count_gan_children, count_half_steps, runs_gan_half, set_cores
 
 import ecgan.cli as cli
 import ecgan.harness as H
@@ -569,8 +569,9 @@ def test_job_children_fork_their_gan_halves(tmp_path, monkeypatch):
     real = training.ChildStream
 
     def child_stream(work):
-        with open(log, "a") as f:
-            f.write(f"{os.getpid()}\n")
+        if runs_gan_half(work):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
         return real(work)
 
     monkeypatch.setattr(training, "ChildStream", child_stream)

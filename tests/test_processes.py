@@ -7,7 +7,7 @@ from multiprocessing.connection import wait
 
 import pytest
 
-from ecgan.processes import ChildStream
+from ecgan.processes import ChildStream, one_blas_thread
 
 
 def test_items_come_first_then_the_return_value():
@@ -87,3 +87,11 @@ def test_child_that_dies_without_a_result_is_an_error():
         with pytest.raises(RuntimeError, match="exited with code 3"):
             next(stream)
     assert multiprocessing.active_children() == []
+
+
+def test_a_child_starts_no_blas_thread():
+    # Setting the count again where no pool runs would start one, whose
+    # idle worker spins for about 0.1 s of CPU beside both processes.
+    one_blas_thread()
+    with ChildStream(lambda send: send(len(os.listdir(f"/proc/{os.getpid()}/task")))) as stream:
+        assert next(stream) == 1

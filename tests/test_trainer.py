@@ -442,17 +442,6 @@ def test_rebound_gan_step_keeps_the_gan_half_in_process(monkeypatch, name):
     assert started == [] and len(calls) == 4  # two epochs of two steps
 
 
-@pytest.mark.parametrize("lam, made", [(0.0, 0), (0.1, 4)])
-def test_fakes_are_made_only_for_a_classifier_that_reads_them(monkeypatch, lam, made):
-    # Rebinding classifier_fakes keeps the GAN half in this process.
-    calls = []
-    real = TR.classifier_fakes
-    monkeypatch.setattr(TR, "classifier_fakes", lambda *a, **k: calls.append(1) or real(*a, **k))
-    set_cores(monkeypatch, 2)
-    train("ecgan", tiny_dataset(4, seed=30), HyperParams(**{**PIPELINE_HP, "lam": lam}))
-    assert len(calls) == made  # one per step of two epochs of two steps
-
-
 def test_on_epoch_error_ends_the_gan_child(monkeypatch):
     def stop(row):
         raise KeyError("stop after the first epoch")
@@ -687,8 +676,8 @@ def test_evaluate_counts_every_share_but_one_in_a_child(monkeypatch):
     cls = _warm_classifier(ds, seed=28)
     want = _per_sample_accuracy(cls, ds)
     started = []
-    real = TR.processes.ChildStream
-    monkeypatch.setattr(TR.processes, "ChildStream", lambda work: started.append(1) or real(work))
+    real = TR.ChildStream
+    monkeypatch.setattr(TR, "ChildStream", lambda work: started.append(1) or real(work))
     for cores in (1, 2, 3):
         started.clear()
         set_cores(monkeypatch, cores)
@@ -709,6 +698,7 @@ def test_evaluate_more_workers_than_cores(monkeypatch):
     for n, p in cls.parameters():
         if "running" in n:
             np.testing.assert_array_equal(p.data, stats[n], err_msg=n)
+    assert multiprocessing.active_children() == []
 
 
 class ChunkFailure(Exception):
