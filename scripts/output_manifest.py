@@ -10,7 +10,10 @@ The set, all at 2 epochs, threshold 0.4 and lr_c 2e-3, so fakes are kept:
 `train` of each variant with 2 seeds, percents 100 and 50 and augment on;
 `sweep` on each axis with lambdas 0, 0.1 and 1; a lambda 0 strategy sweep;
 `train` of the ecgan variant at lambda 0; and `train` of the conditional
-variant at lambda 0 with augment on.
+variant at lambda 0 with augment on. Then `eval` (its standard output
+written to `eval.txt`) and `generate` (a 16-image grid, `generate.pgm`)
+read one checkpoint the ecgan `train` wrote, so the set also covers the
+eval-mode forwards of the classifier and the generator.
 
     python scripts/output_manifest.py --src . --out OUT [--one-core]
 """
@@ -29,6 +32,10 @@ DATASET = {
 }
 VARIANTS = ("baseline", "ecgan", "shared", "ecgan_conditional")
 HYPERPARAMS = {"batch_size": 4, "epochs": 2, "base_width": 8, "depth": 1, "threshold": 0.4, "lr_c": 2e-3}
+# What `eval` and `generate` read: a checkpoint of `train_ecgan`, and a test
+# set of the corpus it trained on, drawn from another seed.
+CHECKPOINT = "runs/train_ecgan/checkpoints/ecgan_p100_l0.1_s0.ckpt"
+EVAL_DATA = "synth:n_per_class=50,classes=3,size=16,seed=5"
 
 
 def commands():
@@ -59,13 +66,17 @@ def main():
     (out / "configs").mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve() / "src")}
     env.pop("ECGAN_SEED", None)
+
+    def ecgan(*argv, stdout=None):
+        subprocess.run([sys.executable, "-m", "ecgan", *argv], cwd=out, env=env, check=True, stdout=stdout)
+
     for name, doc, argv in commands():
         config = out / "configs" / f"{name}.json"
         config.write_text(json.dumps({**doc, "output_dir": f"runs/{name}"}, indent=2) + "\n")
-        subprocess.run(
-            [sys.executable, "-m", "ecgan", argv[0], str(config.relative_to(out)), *argv[1:]],
-            cwd=out, env=env, check=True,
-        )
+        ecgan(argv[0], str(config.relative_to(out)), *argv[1:])
+    with open(out / "eval.txt", "w") as f:
+        ecgan("eval", CHECKPOINT, "--data", EVAL_DATA, stdout=f)
+    ecgan("generate", CHECKPOINT, "--n", "16", "--out", "generate.pgm")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
 

@@ -1,11 +1,12 @@
 """Experiment configuration: a closed JSON schema checked against its defaults.
 
 Unknown keys anywhere in the document are rejected by name, so typos in
-hyperparameter names fail loudly, and a given value must have its
-default's type: an int passes for a float, and a required path (default
-None) is a string. The defaults are those of `ExperimentConfig`,
-`training.HyperParams` and `data.SOURCES`, the published settings:
-lambda 0.1, threshold 0.7, learning rates 2e-4, weight decay 1e-3 on.
+hyperparameter names fail loudly; a key may appear once per object; and
+a given value must have its default's type: an int passes for a float,
+and a required path (default None) is a string. The defaults are those
+of `ExperimentConfig`, `training.HyperParams` and `data.SOURCES`, the
+published settings: lambda 0.1, threshold 0.7, learning rates 2e-4,
+weight decay 1e-3 on.
 Augmentation (pad-4 crop, 10-degree rotation) is an optional strategy
 and defaults off; decay is part of the core recipe and defaults on.
 
@@ -136,13 +137,24 @@ class ExperimentConfig:
 _TOP_KEYS = asdict(ExperimentConfig())
 
 
+def _object(pairs):
+    """A JSON object as a dict. `json` would keep the last value of a
+    repeated key; a config must give each key once."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path):
     """Parse and validate a JSON experiment config."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path) as f:
         try:
-            doc = json.load(f)
+            doc = json.load(f, object_pairs_hook=_object)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):

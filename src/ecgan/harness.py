@@ -380,8 +380,9 @@ def cmd_generate(ckpt_path, n, out_path, class_idx=None, seed=0):
 def parse_data_spec(spec_text):
     """Dataset from 'synth:key=value,...', 'idx:images=..,labels=..' or
     'dir:root=..,size=..'; unset keys take their `data.SOURCES` defaults, so
-    synth draws the corpus that configs train and test on. An unknown key, a
-    value of the wrong type or a missing path is a ContractError."""
+    synth draws the corpus that configs train and test on. An unknown or
+    repeated key, a value of the wrong type or a missing path is a
+    ContractError."""
     if ":" not in spec_text:
         raise ContractError(f"data spec needs 'source:key=value,...', got {spec_text!r}")
     source, _, rest = spec_text.partition(":")
@@ -389,12 +390,16 @@ def parse_data_spec(spec_text):
         raise ContractError(f"unknown data source {source!r}")
     _, defaults = SOURCES[source]
     kv = dict(defaults)
+    given = set()
     for part in filter(None, rest.split(",")):
         if "=" not in part:
             raise ContractError(f"bad data spec field {part!r}")
         k, _, v = part.partition("=")
         if k not in kv:
             raise ContractError(f"unknown {source} data spec key {k!r}")
+        if k in given:
+            raise ContractError(f"repeated {source} data spec key {k!r}")
+        given.add(k)
         kind = value_type(defaults[k])
         try:
             kv[k] = kind(v)

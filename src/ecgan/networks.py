@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ContractError, InvalidLabelError, ShapeError, SpecError
 from .tensor import (
+    BN_EPS,
     Tensor,
     add,
     batchnorm2d,
@@ -22,6 +23,7 @@ from .tensor import (
     conv2d,
     conv_transpose2d,
     default_dtype,
+    grad_enabled,
     leaky_relu,
     matmul,
     relu,
@@ -236,6 +238,22 @@ class _Bn:
             update_running=update_stats and training,
         )
 
+
+def _conv_bn(conv, bn, x, training, update_stats=True):
+    """`bn(conv(x))`. In eval mode with no graph to record, batch norm is a
+    fixed per-channel affine map, folded into the conv's weight and bias
+    (Ioffe & Szegedy 2015, arXiv 1502.03167, section 3.1), so the pair runs
+    as one conv2d. The fold is taken from the current parameters each call."""
+    if training or grad_enabled():
+        return bn(conv(x), training, update_stats)
+    s = bn.gamma.data / np.sqrt(bn.rv.data + BN_EPS)
+    shift = bn.beta.data - bn.rm.data * s
+    if conv.b is not None:
+        shift += conv.b.data * s
+    w = Tensor(conv.w.data * s[:, None, None, None])
+    return conv2d(x, w, Tensor(shift), stride=conv.stride, pad=conv.pad)
+
+
 DCGAN_STD = 0.02
 BN_GAMMA_STD = 0.02
 
@@ -259,8 +277,7 @@ def _dcgan_trunk(net, prefix, extra_channels=0):
 
 def _trunk_forward(blocks, h, training, update_stats):
     for conv, bn in blocks:
-        h = conv(h)
-        h = leaky_relu(h if bn is None else bn(h, training, update_stats))
+        h = leaky_relu(conv(h) if bn is None else _conv_bn(conv, bn, h, training, update_stats))
     return h
 
 
@@ -362,9 +379,9 @@ class _ResBlock:
             self.proj = None
 
     def __call__(self, x, training, update_stats=True):
-        h = relu(self.bn1(self.conv1(x), training, update_stats))
-        h = self.bn2(self.conv2(h), training, update_stats)
-        skip = x if self.proj is None else self.proj_bn(self.proj(x), training, update_stats)
+        h = relu(_conv_bn(self.conv1, self.bn1, x, training, update_stats))
+        h = _conv_bn(self.conv2, self.bn2, h, training, update_stats)
+        skip = x if self.proj is None else _conv_bn(self.proj, self.proj_bn, x, training, update_stats)
         return relu(add(h, skip))
 
 
@@ -401,7 +418,7 @@ class Classifier(Network):
         del self._init_rng
 
     def forward(self, x, update_stats=True):
-        h = relu(self.stem_bn(self.stem(x), self.training, update_stats))
+        h = relu(_conv_bn(self.stem, self.stem_bn, x, self.training, update_stats))
         for blocks in self.stages:
             for block in blocks:
                 h = block(h, self.training, update_stats)

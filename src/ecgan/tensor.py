@@ -32,6 +32,8 @@ _GRAD_ENABLED = True
 
 # Probability clamp for binary cross-entropy on raw probabilities.
 BCE_EPS = 1e-7
+# Added to the variance under batch norm's square root.
+BN_EPS = 1e-5
 
 
 def default_dtype():
@@ -64,6 +66,11 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
+
+
+def grad_enabled():
+    """Whether ops record a graph (False inside `no_grad`)."""
+    return _GRAD_ENABLED
 
 
 class Rng:
@@ -589,15 +596,16 @@ def conv_transpose2d(x, w, bias=None, stride=1, pad=0):
     return _attach(out, "conv_transpose2d", inputs, back)
 
 
-def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.1, eps=1e-5, update_running=True):
+def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.1, update_running=True):
     """Per-channel batch normalization with affine scale/shift.
 
     Train mode normalizes by the batch mean/variance over (N,H,W) and,
     when ``update_running`` is set, folds them into the running stats by
     exponential moving average (new = (1-momentum)*old + momentum*batch,
     unbiased variance when the batch has more than one element). Eval
-    mode normalizes by the running stats. ``running_mean``/``running_var``
-    are plain state tensors and must not require gradients.
+    mode normalizes by the running stats. Both divide by
+    sqrt(variance + BN_EPS). ``running_mean``/``running_var`` are plain
+    state tensors and must not require gradients.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d() needs [N,C,H,W], got {x.shape}")
@@ -623,7 +631,7 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
         d = x.data - running_mean.data[None, :, None, None]
         var = running_var.data
 
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = d * inv[None, :, None, None]
     out = Tensor(gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None])
 
@@ -641,7 +649,7 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
                 )
             else:
                 gx = dxhat * inv[None, :, None, None]
-            gx = gx.astype(x.data.dtype)
+            gx = gx.astype(x.data.dtype, copy=False)
         return gx, ggamma, gbeta
 
     return _attach(out, "batchnorm2d", (x, gamma, beta), back)

@@ -871,6 +871,7 @@ def test_idx_and_dir_sources_load_each_split(tmp_path, rng):
     ("synth:root=x", "unknown synth data spec key 'root'"),
     ("idx:images=a,labels=b,size=16", "unknown idx data spec key 'size'"),
     ("dir:root=a,size=big", "'size=big': expected int"),
+    ("synth:size=32,size=16", "repeated synth data spec key 'size'"),
 ])
 def test_parse_data_spec_rejects_what_it_cannot_use(spec, match):
     with pytest.raises(ContractError, match=match):
@@ -968,6 +969,7 @@ def test_cli_malformed_checkpoint_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("data", [
     "synth:classes=abc", "synth:n_per_clas=2", "synth:size=16,noise_sigma=nan", "synth:size=16,noise_sigma=-0.1",
+    "synth:size=32,size=16",
 ])
 def test_cli_bad_data_spec_exit_code(tmp_path, capsys, data):
     ckpt = tmp_path / "c.ckpt"
@@ -1008,6 +1010,21 @@ def test_cli_rejects_a_config_noise_sigma_that_is_not_finite_and_non_negative(tm
     path, _ = tiny_config(tmp_path, dataset={**doc["dataset"], "noise_sigma": sigma})
     assert cli.main(["train", path]) == 2
     assert capsys.readouterr().err == f"error: noise_sigma must be finite and >= 0, got {sigma}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("opening,repeat", [
+    ("{", '"variant": "shared"'), ('"hyperparams": {', '"epochs": 2'),
+], ids=["top_level", "hyperparams"])
+def test_cli_rejects_a_repeated_config_key(tmp_path, capsys, opening, repeat):
+    # json keeps the last value of a repeated key, so the first was silently
+    # dropped: {"variant": "shared", "variant": "baseline"} trained baseline.
+    path, _ = tiny_config(tmp_path)
+    text = Path(path).read_text()
+    Path(path).write_text(text.replace(opening, f"{opening}{repeat}, ", 1))
+    assert cli.main(["train", path]) == 2
+    key = repeat.split('"')[1]
+    assert capsys.readouterr().err == f"error: repeated key {key!r}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -375,6 +375,133 @@ def test_update_stats_flag_isolates_state():
 
 
 # ---------------------------------------------------------------------------
+# eval-mode batch norm folded into the conv before it
+
+
+def _off_init_stats(net, seed):
+    """Move every batch norm's affine and running statistics off their init,
+    so that folding them into a conv is not the identity."""
+    rng = np.random.default_rng(seed)
+    for name, t in net.parameters():
+        if name.endswith(("gamma", "running_var")):
+            t.data[...] = rng.uniform(0.5, 2.0, t.shape)
+        elif name.endswith(("beta", "running_mean")):
+            t.data[...] = rng.normal(0.0, 0.3, t.shape)
+    return net.eval()
+
+
+def _conv_then_bn(conv, bn, x):
+    return T.batchnorm2d(T.conv2d(x, conv.w, conv.b, stride=conv.stride, pad=conv.pad),
+                         bn.gamma, bn.beta, bn.rm, bn.rv, training=False)
+
+
+def _unfolded_classifier(c, x):
+    """The classifier's eval forward written out as conv2d -> batchnorm2d."""
+    h = T.relu(_conv_then_bn(c.stem, c.stem_bn, x))
+    for blocks in c.stages:
+        for b in blocks:
+            r = _conv_then_bn(b.conv2, b.bn2, T.relu(_conv_then_bn(b.conv1, b.bn1, h)))
+            h = T.relu(T.add(r, h if b.proj is None else _conv_then_bn(b.proj, b.proj_bn, h)))
+    return c.fc(T.spatial_mean(h))
+
+
+def _count_batchnorm_calls(monkeypatch):
+    """A list that grows by one for each batch norm the networks run from now on."""
+    calls = []
+    original = N.batchnorm2d
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(N, "batchnorm2d", counted)
+    return calls
+
+
+@pytest.mark.parametrize("role,conditional", [
+    ("classifier", False), ("shared_discriminator", False), ("discriminator", False), ("discriminator", True),
+])
+def test_eval_fold_matches_conv_then_batchnorm(monkeypatch, role, conditional):
+    net = _off_init_stats(build(role, width=16, conditional=conditional), seed=1)
+    x = Tensor(np.random.default_rng(2).normal(size=(8, 1, 32, 32)).astype(np.float32))
+    kwargs = {"labels": np.arange(8) % 3} if conditional else {}
+
+    def outputs():
+        out = net(x, **kwargs)
+        return [o.data for o in (out if isinstance(out, tuple) else (out,))]
+
+    unfolded = outputs()  # an eval forward that records a graph does not fold
+    calls = _count_batchnorm_calls(monkeypatch)
+    with T.no_grad():
+        folded = outputs()
+    assert calls == []
+    for a, b in zip(folded, unfolded):
+        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
+    if role != "discriminator":
+        np.testing.assert_array_equal(folded[0].argmax(axis=1), unfolded[0].argmax(axis=1))
+    if role == "classifier":
+        with T.no_grad():
+            np.testing.assert_allclose(folded[0], _unfolded_classifier(net, x).data, rtol=1e-5, atol=1e-5)
+
+
+def test_eval_fold_reads_the_current_parameters():
+    c = _off_init_stats(build("classifier"), seed=3)
+    x = Tensor(np.random.default_rng(4).normal(size=(4, 1, 32, 32)).astype(np.float32))
+    with T.no_grad():
+        before = c(x).data.copy()
+        c.stem_bn.gamma.data[0] *= 3.0
+        after_gamma = c(x).data.copy()
+        c.stages[1][0].bn2.rv.data[:] *= 4.0
+        after_var = c(x).data.copy()
+        unfolded = _unfolded_classifier(c, x).data
+    assert not np.allclose(before, after_gamma) and not np.allclose(after_gamma, after_var)
+    np.testing.assert_allclose(after_var, unfolded, rtol=1e-5, atol=1e-5)
+
+
+def test_eval_fold_carries_a_conv_bias():
+    net = N.Network(spec_for("discriminator"))
+    net._init_rng = Rng(0, "init/fold")
+    conv = N._Conv(net, "conv", 2, 3, 3, 1, 1, std=0.5, bias=True)
+    bn = N._Bn(net, "bn", 3)
+    _off_init_stats(net, seed=5)
+    conv.b.data[...] = [0.5, -1.0, 2.0]
+    x = Tensor(np.random.default_rng(6).normal(size=(2, 2, 5, 5)).astype(np.float32))
+    with T.no_grad():
+        folded = N._conv_bn(conv, bn, x, training=False)
+        np.testing.assert_allclose(folded.data, _conv_then_bn(conv, bn, x).data, rtol=1e-5, atol=1e-5)
+
+
+def test_eval_forward_with_a_graph_keeps_conv_then_batchnorm_gradients():
+    c = _off_init_stats(build("classifier", size=16), seed=7)
+    x = Tensor(np.random.default_rng(8).normal(size=(4, 1, 16, 16)).astype(np.float32))
+    labels = np.array([0, 1, 2, 1])
+    params = [t for _, t in c.trainable_parameters()]
+    grads = []
+    for forward in (c, lambda x: _unfolded_classifier(c, x)):
+        for p in params:
+            p.grad = None
+        T.backward(T.cross_entropy(forward(x), labels))
+        grads.append([p.grad for p in params])
+    for (name, _), a, b in zip(c.trainable_parameters(), *grads):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def test_generator_eval_is_not_folded(monkeypatch):
+    g = _off_init_stats(build("generator"), seed=9)
+    z = N.latent(4, Rng(0, "latent")).values
+    calls = _count_batchnorm_calls(monkeypatch)
+    with T.no_grad():
+        out = g(z).data
+        h = T.relu(T.batchnorm2d(T.reshape(g.proj(z), (4, g.w0, 4, 4)), g.bn0.gamma, g.bn0.beta,
+                                 g.bn0.rm, g.bn0.rv, training=False))
+        for conv, bn in g.blocks:
+            h = T.relu(T.batchnorm2d(conv(h), bn.gamma, bn.beta, bn.rm, bn.rv, training=False))
+        expected = T.tanh(g.final(h)).data
+    assert len(calls) == 1 + len(g.blocks)
+    np.testing.assert_array_equal(out, expected)
+
+
+# ---------------------------------------------------------------------------
 # whole-network gradients (32-bit, directional)
 
 

@@ -73,8 +73,11 @@ def test_shared_subexpression_fans_out():
 
 def test_no_grad_suppresses_graph():
     x = t([1.0])
+    assert T.grad_enabled()
     with T.no_grad():
+        assert not T.grad_enabled()
         y = T.relu(x)
+    assert T.grad_enabled()
     assert y.node is None and not y.requires_grad
 
 
