@@ -12,8 +12,10 @@ The set, all at 2 epochs, threshold 0.4 and lr_c 2e-3, so fakes are kept:
 `train` of the ecgan variant at lambda 0; and `train` of the conditional
 variant at lambda 0 with augment on. Then `eval` (its standard output
 written to `eval.txt`) and `generate` (a 16-image grid, `generate.pgm`)
-read one checkpoint the ecgan `train` wrote, so the set also covers the
-eval-mode forwards of the classifier and the generator.
+read one checkpoint the ecgan `train` wrote, and `eval` of one checkpoint
+the shared `train` wrote goes to `eval_shared.txt`, so the set also covers
+the eval-mode forwards of the classifier, the shared discriminator and the
+generator.
 
     python scripts/output_manifest.py --src . --out OUT [--one-core]
 """
@@ -32,9 +34,11 @@ DATASET = {
 }
 VARIANTS = ("baseline", "ecgan", "shared", "ecgan_conditional")
 HYPERPARAMS = {"batch_size": 4, "epochs": 2, "base_width": 8, "depth": 1, "threshold": 0.4, "lr_c": 2e-3}
-# What `eval` and `generate` read: a checkpoint of `train_ecgan`, and a test
-# set of the corpus it trained on, drawn from another seed.
+# What `eval` and `generate` read: a checkpoint of `train_ecgan` (and for
+# `eval` also one of `train_shared`, which holds no classifier), and a test
+# set of the corpus they trained on, drawn from another seed.
 CHECKPOINT = "runs/train_ecgan/checkpoints/ecgan_p100_l0.1_s0.ckpt"
+SHARED_CHECKPOINT = "runs/train_shared/checkpoints/shared_p100_l0.1_s0.ckpt"
 EVAL_DATA = "synth:n_per_class=50,classes=3,size=16,seed=5"
 
 
@@ -74,8 +78,9 @@ def main():
         config = out / "configs" / f"{name}.json"
         config.write_text(json.dumps({**doc, "output_dir": f"runs/{name}"}, indent=2) + "\n")
         ecgan(argv[0], str(config.relative_to(out)), *argv[1:])
-    with open(out / "eval.txt", "w") as f:
-        ecgan("eval", CHECKPOINT, "--data", EVAL_DATA, stdout=f)
+    for name, checkpoint in (("eval.txt", CHECKPOINT), ("eval_shared.txt", SHARED_CHECKPOINT)):
+        with open(out / name, "w") as f:
+            ecgan("eval", checkpoint, "--data", EVAL_DATA, stdout=f)
     ecgan("generate", CHECKPOINT, "--n", "16", "--out", "generate.pgm")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")

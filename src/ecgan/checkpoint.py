@@ -1,10 +1,11 @@
 """Single-file binary checkpoints of trained networks.
 
 Layout: 8-byte magic "ECGANCK1", a little-endian u64 header length, a
-UTF-8 JSON header, then raw record payloads in header order. The header
-carries the format version, each component's network spec and mode, and a
-manifest of (name, shape, dtype) for every record. Float records are
-little-endian float32; round-trips are bit-exact.
+UTF-8 JSON header that gives each key once per object, then raw record
+payloads in header order. The header carries the format version, each
+component's network spec and mode, and a manifest of (name, shape, dtype)
+for every record. Float records are little-endian float32; round-trips
+are bit-exact.
 
 Format 2 holds networks only: one "<component>/<parameter>" record per
 parameter and running statistic. Version-1 files still load with the same
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -24,7 +26,7 @@ import struct
 
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, unique_keys
 from .networks import NetworkSpec, build_network
 from .tensor import Rng
 
@@ -104,10 +106,12 @@ class Checkpoint:
     def roles(self):
         return {key: info["spec"]["role"] for key, info in self.components.items()}
 
-    def component_for_role(self, role):
-        matches = [k for k, r in self.roles().items() if r == role]
+    def component_for_role(self, *roles):
+        """The key of a component of the first of `roles` the checkpoint holds."""
+        held = self.roles()
+        matches = [key for role in roles for key, held_role in held.items() if held_role == role]
         if not matches:
-            raise ContractError(f"checkpoint holds no {role} (roles: {sorted(self.roles().values())})")
+            raise ContractError(f"checkpoint holds no {' or '.join(roles)} (roles: {sorted(held.values())})")
         return matches[0]
 
     def build(self, key):
@@ -160,9 +164,10 @@ def load_checkpoint(path):
     (hlen,) = struct.unpack("<Q", buf[8:16])
     if len(buf) < 16 + hlen:
         raise FormatError(f"{path}: truncated header", offset=len(buf))
+    hook = functools.partial(unique_keys, error=FormatError)
     try:
-        header = json.loads(buf[16 : 16 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        header = json.loads(buf[16 : 16 + hlen].decode("utf-8"), object_pairs_hook=hook)
+    except (UnicodeDecodeError, json.JSONDecodeError, FormatError) as e:
         raise FormatError(f"{path}: bad header ({e})", offset=16) from None
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is a JSON {type(header).__name__}, not an object", offset=16)

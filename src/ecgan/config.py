@@ -17,13 +17,14 @@ feeding that file back in reproduces the run.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
 from .data import SOURCES, value_type
-from .errors import ConfigError
+from .errors import ConfigError, unique_keys
 from .training import VARIANTS, HyperParams
 
 # A dataset block holds the data specs (`data.SOURCES`) of both splits. A
@@ -137,24 +138,13 @@ class ExperimentConfig:
 _TOP_KEYS = asdict(ExperimentConfig())
 
 
-def _object(pairs):
-    """A JSON object as a dict. `json` would keep the last value of a
-    repeated key; a config must give each key once."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ConfigError(f"repeated key {key!r}")
-        obj[key] = value
-    return obj
-
-
 def load_config(path):
     """Parse and validate a JSON experiment config."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path) as f:
         try:
-            doc = json.load(f, object_pairs_hook=_object)
+            doc = json.load(f, object_pairs_hook=functools.partial(unique_keys, error=ConfigError))
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):

@@ -38,6 +38,17 @@ class DataError(ValueError):
     """A dataset operation cannot be satisfied by the data."""
 
 
+def unique_keys(pairs, error):
+    """An `object_pairs_hook` for `json`, which would keep the last value of
+    a repeated key: the object as a dict, or `error` naming a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise error(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 class TrainingDiverged(RuntimeError):
     """A loss became non-finite during training."""
 

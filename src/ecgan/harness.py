@@ -187,28 +187,27 @@ def run_cells(cfg, train_ds, test_ds, cells, writer=None, on_result=None):
     pending_rows = [[] for _ in cells]
     outcomes = {}
 
-    def write_rows():
-        """Write the rows so far of the first cell not yet finished."""
-        if len(results) < len(cells):
-            for row in pending_rows[len(results)]:
-                writer.add(cells[len(results)], row)
-            pending_rows[len(results)].clear()
-
-    def add_row(i, row):
-        if writer is not None:
-            pending_rows[i].append(row)
-            write_rows()
-
-    def finish(i, outcome):
-        outcomes[i] = outcome
-        while len(results) in outcomes:
-            outcome = outcomes.pop(len(results))
+    def flush():
+        """Pass on, in cell order, the rows so far and the outcome of each
+        cell whose earlier cells have all finished."""
+        while len(results) < len(cells):
+            i = len(results)
+            if writer is not None:
+                for row in pending_rows[i]:
+                    writer.add(cells[i], row)
+            pending_rows[i].clear()
+            if i not in outcomes:
+                return
+            outcome = outcomes.pop(i)
             if isinstance(outcome, TrainingDiverged):
                 raise outcome
             if on_result is not None:
-                on_result(cells[len(results)], outcome)
+                on_result(cells[i], outcome)
             results.append(outcome)
-            write_rows()
+
+    def add_row(i, row):
+        pending_rows[i].append(row)
+        flush()
 
     if workers <= 1:
         for job in jobs:
@@ -216,8 +215,8 @@ def run_cells(cfg, train_ds, test_ds, cells, writer=None, on_result=None):
             job_outcomes = run_cell(
                 cfg, train_ds, test_ds, job_cells, on_epoch=lambda k, row: add_row(job.cells[k], row),
             )
-            for i, outcome in zip(job.cells, job_outcomes):
-                finish(i, outcome)
+            outcomes.update(zip(job.cells, job_outcomes))
+            flush()
         return results
 
     def train_in_child(job, send):
@@ -239,8 +238,8 @@ def run_cells(cfg, train_ds, test_ds, cells, writer=None, on_result=None):
                 except StopIteration as end:
                     job = running.pop(child)
                     child.close()
-                    for i, outcome in zip(job.cells, end.value):
-                        finish(i, outcome)
+                    outcomes.update(zip(job.cells, end.value))
+                    flush()
                 else:
                     add_row(running[child].cells[k], row)
     finally:
@@ -414,16 +413,7 @@ def parse_data_spec(spec_text):
 def cmd_eval(ckpt_path, data_spec):
     """Print `accuracy=<4 decimals>` for a checkpointed classifier."""
     ck = load_checkpoint(ckpt_path)
-    roles = ck.roles()
-    if "classifier" in roles.values():
-        key = ck.component_for_role("classifier")
-    elif "shared_discriminator" in roles.values():
-        key = ck.component_for_role("shared_discriminator")
-    else:
-        raise ContractError(
-            f"checkpoint holds no classifier (roles: {sorted(roles.values())})"
-        )
-    net = ck.build(key).eval()
+    net = ck.build(ck.component_for_role("classifier", "shared_discriminator")).eval()
     dataset = parse_data_spec(data_spec)
     for what in ("num_classes", "image_size", "channels"):
         if getattr(dataset, what) != getattr(net.spec, what):

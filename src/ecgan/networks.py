@@ -5,6 +5,7 @@ All four roles are built from a `NetworkSpec` and an `Rng`; parameter
 creation order is fixed, so two builds from the same spec and seed are
 identical. Parameters (including batch-norm running statistics) live in
 a named, ordered registry that optimizers and checkpoints consume.
+Calling a network runs its class's `forward`, as rebound by any wrapper.
 """
 
 from __future__ import annotations
@@ -131,14 +132,19 @@ def draw_latent(n, num_classes, conditional, rng):
 
 
 class Network:
-    """Base: a named, ordered parameter registry plus a train/eval mode."""
+    """Base: a named, ordered parameter registry plus a train/eval mode.
+    A subclass builds its layers from `rng`, the init stream, then drops it."""
 
     role = None
 
-    def __init__(self, spec):
+    def __init__(self, spec, rng=None):
         self.spec = spec
         self.mode = "train"
         self._params = {}
+        self._init_rng = rng
+
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
 
     def add_param(self, name, array, requires_grad=True):
         if name in self._params:
@@ -186,23 +192,18 @@ class Network:
 
 
 class _Conv:
-    def __init__(self, net, name, cin, cout, k, stride, pad, std, bias):
-        self.stride, self.pad = stride, pad
-        self.w = net.add_param(f"{name}.w", net._init_rng.normal((cout, cin, k, k), scale=std))
+    """A conv, or with `transposed` a transposed conv with a [cin, cout, k, k]
+    kernel. Its op is looked up by name per call, so a rebinding takes effect."""
+
+    def __init__(self, net, name, cin, cout, k, stride, pad, std, bias, transposed=False):
+        self.stride, self.pad, self.transposed = stride, pad, transposed
+        shape = (cin, cout, k, k) if transposed else (cout, cin, k, k)
+        self.w = net.add_param(f"{name}.w", net._init_rng.normal(shape, scale=std))
         self.b = net.add_param(f"{name}.b", np.zeros(cout)) if bias else None
 
     def __call__(self, x):
-        return conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
-
-
-class _ConvT:
-    def __init__(self, net, name, cin, cout, k, stride, pad, std, bias):
-        self.stride, self.pad = stride, pad
-        self.w = net.add_param(f"{name}.w", net._init_rng.normal((cin, cout, k, k), scale=std))
-        self.b = net.add_param(f"{name}.b", np.zeros(cout)) if bias else None
-
-    def __call__(self, x):
-        return conv_transpose2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
+        op = conv_transpose2d if self.transposed else conv2d
+        return op(x, self.w, self.b, stride=self.stride, pad=self.pad)
 
 
 class _Linear:
@@ -292,8 +293,7 @@ class Generator(Network):
     role = "generator"
 
     def __init__(self, spec, rng):
-        super().__init__(spec)
-        self._init_rng = rng
+        super().__init__(spec, rng)
         m = spec.n_halvings
         w0 = spec.base_width * (1 << (m - 1))
         self.w0 = w0
@@ -303,11 +303,11 @@ class Generator(Network):
         cin = w0
         for i in range(m - 1):
             cout = w0 >> (i + 1)
-            conv = _ConvT(self, f"blocks.{i}.conv", cin, cout, 4, 2, 1, std=DCGAN_STD, bias=False)
+            conv = _Conv(self, f"blocks.{i}.conv", cin, cout, 4, 2, 1, std=DCGAN_STD, bias=False, transposed=True)
             bn = _Bn(self, f"blocks.{i}.bn", cout, gamma_std=BN_GAMMA_STD)
             self.blocks.append((conv, bn))
             cin = cout
-        self.final = _ConvT(self, "final", cin, spec.channels, 4, 2, 1, std=DCGAN_STD, bias=True)
+        self.final = _Conv(self, "final", cin, spec.channels, 4, 2, 1, std=DCGAN_STD, bias=True, transposed=True)
         del self._init_rng
 
     def forward(self, z, update_stats=True):
@@ -320,8 +320,6 @@ class Generator(Network):
         for conv, bn in self.blocks:
             h = relu(bn(conv(h), self.training, update_stats))
         return tanh(self.final(h))
-
-    __call__ = forward
 
 
 class Discriminator(Network):
@@ -336,8 +334,7 @@ class Discriminator(Network):
     role = "discriminator"
 
     def __init__(self, spec, rng):
-        super().__init__(spec)
-        self._init_rng = rng
+        super().__init__(spec, rng)
         self.blocks, cin = _dcgan_trunk(self, "blocks", 1 if spec.conditional else 0)
         self.final = _Conv(self, "final", cin, 1, 4, 1, 0, std=DCGAN_STD, bias=True)
         del self._init_rng
@@ -359,8 +356,6 @@ class Discriminator(Network):
             h = concat_channels(h, Tensor(np.ascontiguousarray(plane)))
         out = self.final(_trunk_forward(self.blocks[1:], h, self.training, update_stats))
         return sigmoid(reshape(out, (out.shape[0], 1)))
-
-    __call__ = forward
 
 
 class _ResBlock:
@@ -397,8 +392,7 @@ class Classifier(Network):
     role = "classifier"
 
     def __init__(self, spec, rng):
-        super().__init__(spec)
-        self._init_rng = rng
+        super().__init__(spec, rng)
         w = spec.base_width
         self.stem = _Conv(self, "stem.conv", spec.channels, w, 3, 1, 1,
                           std=float(np.sqrt(2.0 / (spec.channels * 9))), bias=False)
@@ -424,8 +418,6 @@ class Classifier(Network):
                 h = block(h, self.training, update_stats)
         return self.fc(spatial_mean(h))
 
-    __call__ = forward
-
     def class_logits(self, x, update_stats=True):
         return self.forward(x, update_stats)
 
@@ -441,8 +433,7 @@ class SharedDiscriminator(Network):
     role = "shared_discriminator"
 
     def __init__(self, spec, rng):
-        super().__init__(spec)
-        self._init_rng = rng
+        super().__init__(spec, rng)
         self.blocks, cin = _dcgan_trunk(self, "trunk")
         self.head_c = _Conv(self, "head_c", cin, spec.num_classes, 4, 1, 0, std=DCGAN_STD, bias=True)
         self.head_d = _Conv(self, "head_d", cin, 1, 4, 1, 0, std=DCGAN_STD, bias=True)
@@ -455,8 +446,6 @@ class SharedDiscriminator(Network):
         prob = self.head_d(h)
         prob = sigmoid(reshape(prob, (prob.shape[0], 1)))
         return logits, prob
-
-    __call__ = forward
 
     def class_logits(self, x, update_stats=True):
         logits, _ = self.forward(x, update_stats)

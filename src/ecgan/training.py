@@ -7,7 +7,8 @@ The classifier's loss is CE(C(x), y) + lambda * CE(C(kept fakes),
 pseudo-labels): fresh generated images every step, detached from the
 generator, kept only where the classifier's own max softmax probability
 exceeds the threshold, labeled by argmax. lambda = 0 degenerates exactly
-to supervised training.
+to supervised training. D, the shared net's fake term and C draw their
+fakes through one sampler, `detached_fakes`.
 
 The classifier is external: it reads the generator's output, but neither
 GAN player reads the classifier. An ecgan run is therefore a GAN half
@@ -141,6 +142,17 @@ def _check_finite(value, step, what):
     return float(value)
 
 
+def detached_fakes(g, n, rng):
+    """`n` fakes for a player that does not train G: latents from `rng`
+    through G under no_grad, leaving G's running stats untouched, detached.
+    Returns (fakes, classes): the classes a conditional G drew them for
+    (`balanced_labels`), or None."""
+    lv = draw_latent(n, g.spec.num_classes, g.spec.conditional, rng)
+    with no_grad():
+        fake = g.forward(lv.values, update_stats=False)
+    return fake.detach(), lv.conditional_class
+
+
 def discriminator_step(d, g, real_images, opt_d, rng, step=0, labels=None):
     """One Adam step on D for BCE(D(x),1) + BCE(D(G(z)),0).
 
@@ -148,14 +160,9 @@ def discriminator_step(d, g, real_images, opt_d, rng, step=0, labels=None):
     `labels` are the real batch's classes, used only by conditional D
     (the fake half gets the balanced classes encoded in its latents).
     """
-    n = real_images.shape[0]
-    conditional = d.spec.conditional
-    lv = draw_latent(n, d.spec.num_classes, conditional, rng)
-    with no_grad():
-        fake = g.forward(lv.values, update_stats=False)
-    fake = fake.detach()
-    p_real = d.forward(real_images, labels=labels if conditional else None)
-    p_fake = d.forward(fake, labels=lv.conditional_class)
+    fake, classes = detached_fakes(g, real_images.shape[0], rng)
+    p_real = d.forward(real_images, labels=labels if d.spec.conditional else None)
+    p_fake = d.forward(fake, labels=classes)
     loss = add(bce(p_real, 1.0), bce(p_fake, 0.0))
     value = _check_finite(loss.item(), step, "discriminator loss")
     opt_d.zero_grad()
@@ -179,15 +186,6 @@ def generator_step(g, d, batch_size, opt_g, rng, step=0):
     backward(loss)
     opt_g.step()
     return value
-
-
-def classifier_fakes(g, n, rng):
-    """The classifier's batch of `n` fakes: latents from `rng` through G
-    under no_grad, leaving G's running stats untouched; detached."""
-    lv = draw_latent(n, g.spec.num_classes, g.spec.conditional, rng)
-    with no_grad():
-        fake = g.forward(lv.values, update_stats=False)
-    return fake.detach()
 
 
 def classifier_step(c, fakes, batch, hp, opt_c, step=0):
@@ -237,11 +235,8 @@ def shared_step(sd, g, batch, hp, opt_sd, opt_g, rng, step=0):
     ce = cross_entropy(logits, batch.labels)
     loss_d_value = 0.0
     if hp.lam > 0:
-        n = batch.images.shape[0]
-        lv = draw_latent(n, sd.spec.num_classes, False, rng)
-        with no_grad():
-            fake = g.forward(lv.values, update_stats=False)
-        _, p_fake = sd.forward(fake.detach(), update_stats=False)
+        fake, _ = detached_fakes(g, batch.images.shape[0], rng)
+        _, p_fake = sd.forward(fake, update_stats=False)
         gan_terms = add(bce(p_fake, 0.0), bce(p_real, 1.0))
         loss_d_value = gan_terms.item()
         loss = add(scale(gan_terms, hp.lam), ce)
@@ -357,13 +352,13 @@ def _minibatches(dataset, hp):
 
 def _gan_half(half, minibatches):
     """The GAN half of an ecgan run: per item of `minibatches` the D step,
-    the G step and the classifier's fakes, drawing from the half's latent
-    stream in that order. Yields (loss_d, loss_g, fakes)."""
+    the G step and the classifier's fakes (`detached_fakes`), drawing from
+    the half's latent stream in that order. Yields (loss_d, loss_g, fakes)."""
     g, d, rng = half.nets["generator"], half.nets["discriminator"], half.latents
     for _, step, batch in minibatches:
         loss_d = discriminator_step(d, g, batch.images, half.opts["discriminator"], rng, step=step, labels=batch.labels)
         loss_g = generator_step(g, d, len(batch), half.opts["generator"], rng, step=step)
-        yield loss_d, loss_g, classifier_fakes(g, len(batch), rng)
+        yield loss_d, loss_g, detached_fakes(g, len(batch), rng)[0]
 
 
 def _classifier_update(half, batch, fakes, step):
@@ -410,29 +405,23 @@ _CLASSIFIER = _Part(
 )
 
 
-class _Variant(NamedTuple):
-    """How a variant trains: a classifier half and, for the ecgan variants,
-    a GAN half whose fakes the classifier half reads when lambda > 0."""
-
-    classifier: _Part
-    gan: _Part | None = None
-
-
+# How each variant trains: (classifier half, GAN half or None). The ecgan
+# variants' classifier half reads its GAN half's fakes when lambda > 0.
 _VARIANTS = {
-    "ecgan": _Variant(_CLASSIFIER, _GAN),
-    "shared": _Variant(_Part(
+    "ecgan": (_CLASSIFIER, _GAN),
+    "shared": (_Part(
         "shared", (_GENERATOR, _Net("shared", "shared_discriminator", "lr_c", CLS_BETAS)),
         _STREAM + ("base_width", "lam", "lr_g", "lr_c", "weight_decay"), _shared_update,
-    )),
-    "baseline": _Variant(_CLASSIFIER),
-    "ecgan_conditional": _Variant(_CLASSIFIER, _GAN._replace(
+    ), None),
+    "baseline": (_CLASSIFIER, None),
+    "ecgan_conditional": (_CLASSIFIER, _GAN._replace(
         nets=tuple(net._replace(conditional=True) for net in _GAN.nets),
     )),
 }
 VARIANTS = tuple(_VARIANTS)
 
 # The steps the GAN half calls by name, as this module defines them.
-_GAN_STEPS = (discriminator_step, generator_step, classifier_fakes)
+_GAN_STEPS = (discriminator_step, generator_step, detached_fakes)
 
 
 def half_keys(variant, hp):
@@ -447,17 +436,17 @@ def half_keys(variant, hp):
     """
     if variant not in _VARIANTS:
         raise SpecError(f"unknown variant {variant!r}")
-    recipe = _VARIANTS[variant]
+    classifier, gan_part = _VARIANTS[variant]
 
     def key(part, *extra):
         return (part.kind, part.nets, *extra, tuple(getattr(hp, name) for name in part.reads))
 
-    if recipe.gan is None:
-        return None, key(recipe.classifier)
-    gan = key(recipe.gan)
+    if gan_part is None:
+        return None, key(classifier)
+    gan = key(gan_part)
     if hp.lam == 0:
-        return gan, key(recipe.classifier)
-    return gan, key(recipe.classifier, gan, hp.lam, hp.threshold)
+        return gan, key(classifier)
+    return gan, key(classifier, gan, hp.lam, hp.threshold)
 
 
 class _Half:
@@ -519,7 +508,7 @@ def _feed(gan, dataset, hp, read_all):
     minibatches = _minibatches(dataset, hp)
     if gan is None:
         yield minibatches, None
-    elif usable_cores() < 2 or (discriminator_step, generator_step, classifier_fakes) != _GAN_STEPS:
+    elif usable_cores() < 2 or (discriminator_step, generator_step, detached_fakes) != _GAN_STEPS:
         minibatches, gan_minibatches = itertools.tee(minibatches)
         yield minibatches, _gan_half(gan, gan_minibatches)
     else:
@@ -562,11 +551,11 @@ def train_job(dataset, runs, eval_dataset=None, on_epoch=None):
     halves = {}
     members = []
     for (variant, hp), (gan_key, classifier_key) in zip(runs, keys):
-        recipe = _VARIANTS[variant]
+        classifier, gan_part = _VARIANTS[variant]
         if gan_key is not None and gan_key not in halves:
-            halves[gan_key] = _Half(recipe.gan, dataset, hp)
+            halves[gan_key] = _Half(gan_part, dataset, hp)
         if classifier_key not in halves:
-            halves[classifier_key] = _Half(recipe.classifier, dataset, hp, reads_fakes=gan_key is not None and hp.lam > 0)
+            halves[classifier_key] = _Half(classifier, dataset, hp, reads_fakes=gan_key is not None and hp.lam > 0)
         members.append(_Run(halves[classifier_key], halves.get(gan_key)))
     gan = next((half for half in halves.values() if half.part.kind == "gan"), None)
     classifiers = [half for half in halves.values() if half is not gan]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ecgan.checkpoint as C
+import ecgan.cli as cli
 from ecgan.errors import ContractError, FormatError
 from ecgan.networks import (
     NetworkSpec,
@@ -101,6 +102,18 @@ def test_roles_and_component_lookup(tmp_path):
         ck.component_for_role("discriminator")
 
 
+def test_component_for_role_takes_the_first_role_held(tmp_path):
+    path = tmp_path / "run.ckpt"
+    C.save_checkpoint(path, tiny_nets())
+    ck = C.load_checkpoint(path)
+    assert ck.component_for_role("classifier", "shared_discriminator") == "classifier"
+    assert ck.component_for_role("shared_discriminator", "generator", "classifier") == "generator"
+    C.save_checkpoint(path, {"generator": tiny_nets()["generator"]})
+    ck = C.load_checkpoint(path)
+    with pytest.raises(ContractError, match=r"no classifier or shared_discriminator \(roles: \['generator'\]\)"):
+        ck.component_for_role("classifier", "shared_discriminator")
+
+
 # -- malformed files ----------------------------------------------------------
 
 
@@ -151,6 +164,23 @@ def rewrite_header(path, edit):
     header = edit(json.loads(body[16 : 16 + hlen]))
     blob = json.dumps(header, sort_keys=True).encode()
     path.write_bytes(C.MAGIC + struct.pack("<Q", len(blob)) + blob + body[16 + hlen:])
+
+
+def test_repeated_header_key(tmp_path, capsys):
+    # json keeps the last value of a repeated key, so this file loaded as a
+    # classifier in train mode, with no error.
+    path, buf = good_bytes(tmp_path)
+    (hlen,) = struct.unpack("<Q", buf[8:16])
+    header = buf[16 : 16 + hlen].decode()
+    assert header.startswith('{"components": {"classifier": {"mode": "train", ')
+    blob = header.replace('"mode": "train"', '"mode": "eval", "mode": "train"', 1).encode()
+    path.write_bytes(C.MAGIC + struct.pack("<Q", len(blob)) + blob + buf[16 + hlen:])
+    with pytest.raises(FormatError, match="repeated key 'mode'") as exc:
+        C.load_checkpoint(path)
+    assert exc.value.offset == 16
+    assert cli.main(["eval", str(path), "--data", "synth:n_per_class=2,classes=3,size=16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "repeated key 'mode'" in err
 
 
 def test_unsupported_version(tmp_path):

@@ -172,6 +172,39 @@ def test_parameter_shapes_frozen():
     assert [(n, t.shape) for n, t in d.parameters()] == DISCRIMINATOR_16_SHAPES
 
 
+def test_conv_layer_kernel_layout_and_op(monkeypatch):
+    # The op is looked up on the module at call time, so a tracer that
+    # rebinds `conv2d` and `conv_transpose2d` there sees both.
+    ops = []
+    for name in ("conv2d", "conv_transpose2d"):
+        original = getattr(N, name)
+        monkeypatch.setattr(N, name, lambda *a, _name=name, _op=original, **k: ops.append(_name) or _op(*a, **k))
+    net = N.Network(spec_for("generator"), Rng(0, "init/conv"))
+    down = N._Conv(net, "down", 2, 3, 4, 2, 1, std=0.02, bias=False)
+    up = N._Conv(net, "up", 2, 3, 4, 2, 1, std=0.02, bias=True, transposed=True)
+    assert down.w.shape == (3, 2, 4, 4) and up.w.shape == (2, 3, 4, 4) and up.b.shape == (3,)
+    x = Tensor(np.ones((1, 2, 4, 4), dtype=np.float32))
+    assert down(x).shape == (1, 3, 2, 2) and up(x).shape == (1, 3, 8, 8)
+    assert ops == ["conv2d", "conv_transpose2d"]
+
+
+@pytest.mark.parametrize("role", ["generator", "discriminator", "classifier", "shared_discriminator"])
+def test_calling_a_network_runs_the_forward_bound_on_its_class(monkeypatch, role):
+    # A tracer wraps `cls.forward`; `net(x)` must run the wrapper.
+    net = build(role, size=16)
+    cls = type(net)
+    calls = []
+    original = cls.forward
+    monkeypatch.setattr(cls, "forward", lambda self, *a, **k: calls.append(1) or original(self, *a, **k))
+    if role == "generator":
+        x = N.latent(2, Rng(0, "latent")).values
+    else:
+        x = Tensor(np.zeros((2, 1, 16, 16), dtype=np.float32))
+    with T.no_grad():
+        net(x)
+    assert calls == [1]
+
+
 def test_eighteen_layer_parameter_count():
     # stem + 4 stages x 2 blocks x 2 convs + fc = 18 weight layers
     c = build("classifier", channels=3, k=10, width=64, depth=2)

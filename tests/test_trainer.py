@@ -16,7 +16,9 @@ from ecgan.data import Batch, Dataset
 from ecgan.errors import ContractError, SpecError, TrainingDiverged
 from ecgan.networks import (
     NetworkSpec,
+    balanced_labels,
     build_network,
+    draw_latent,
     latent,
 )
 from ecgan.optim import Adam
@@ -25,8 +27,8 @@ from ecgan.training import (
     CLS_BETAS,
     GAN_BETAS,
     HyperParams,
-    classifier_fakes,
     classifier_step,
+    detached_fakes,
     discriminator_step,
     evaluate,
     generator_step,
@@ -205,10 +207,25 @@ def test_threshold_one_step_is_bitwise_supervised():
     hp_b = HyperParams(lam=0.0, batch_size=6, epochs=1)
     opt_a = Adam(cls_a.trainable_parameters(), 2e-4, betas=CLS_BETAS)
     opt_b = Adam(cls_b.trainable_parameters(), 2e-4, betas=CLS_BETAS)
-    classifier_step(cls_a, classifier_fakes(gen, 6, Rng(5, "latent")), batch, hp_a, opt_a)
+    classifier_step(cls_a, detached_fakes(gen, 6, Rng(5, "latent"))[0], batch, hp_a, opt_a)
     classifier_step(cls_b, None, batch, hp_b, opt_b)
     for (n, p), (_, q) in zip(cls_a.parameters(), cls_b.parameters()):
         np.testing.assert_array_equal(p.data, q.data, err_msg=n)
+
+
+@pytest.mark.parametrize("conditional", [False, True])
+def test_detached_fakes_carry_the_classes_they_were_drawn_for(conditional):
+    gen = build_network(NetworkSpec(role="generator", conditional=conditional, **SPEC16), Rng(0, "init/g"))
+    fakes, classes = detached_fakes(gen, 5, Rng(3, "latent"))
+    lv = draw_latent(5, 3, conditional, Rng(3, "latent"))
+    with no_grad():
+        expected = gen.forward(lv.values, update_stats=False).data
+    np.testing.assert_array_equal(fakes.data, expected)
+    assert not fakes.requires_grad
+    if conditional:
+        np.testing.assert_array_equal(classes, balanced_labels(5, 3))
+    else:
+        assert classes is None
 
 
 def test_unsup_loss_value_independent_of_lambda():
@@ -220,7 +237,7 @@ def test_unsup_loss_value_independent_of_lambda():
         batch = tiny_batch(8, seed=6)
         hp = HyperParams(lam=lam, threshold=0.0, batch_size=8, epochs=1)
         opt_c = Adam(cls.trainable_parameters(), 2e-4, betas=CLS_BETAS)
-        _, unsup, keep = classifier_step(cls, classifier_fakes(gen, 8, Rng(6, "latent")), batch, hp, opt_c)
+        _, unsup, keep = classifier_step(cls, detached_fakes(gen, 8, Rng(6, "latent"))[0], batch, hp, opt_c)
         results[lam] = (unsup, keep, snapshot(cls))
     assert results[0.1][1] == results[1.0][1] == 1.0  # threshold 0 keeps all
     assert results[0.1][0] == results[1.0][0] > 0.0
@@ -238,7 +255,7 @@ def test_classifier_step_leaves_generator_alone():
     batch = tiny_batch(6, seed=7)
     hp = HyperParams(lam=0.1, threshold=0.0, batch_size=6, epochs=1)
     opt_c = Adam(cls.trainable_parameters(), 2e-4, betas=CLS_BETAS)
-    classifier_step(cls, classifier_fakes(gen, 6, Rng(7, "latent")), batch, hp, opt_c)
+    classifier_step(cls, detached_fakes(gen, 6, Rng(7, "latent"))[0], batch, hp, opt_c)
     assert_unchanged(gen, g_snap)  # params and running stats
 
 
@@ -429,7 +446,7 @@ def test_divergence_is_the_one_a_serial_run_raises(monkeypatch, d_step, c_step, 
     assert [row["epoch"] for row in rows] == list(range(step // 2))  # two steps per epoch
 
 
-@pytest.mark.parametrize("name", ["discriminator_step", "generator_step", "classifier_fakes"])
+@pytest.mark.parametrize("name", ["discriminator_step", "generator_step", "detached_fakes"])
 def test_rebound_gan_step_keeps_the_gan_half_in_process(monkeypatch, name):
     """A caller that rebinds a GAN step to watch it sees every call, on any
     core count: a child would make them where the caller cannot look."""
@@ -439,7 +456,9 @@ def test_rebound_gan_step_keeps_the_gan_half_in_process(monkeypatch, name):
     started = count_gan_children(monkeypatch)
     set_cores(monkeypatch, 2)
     train("ecgan", tiny_dataset(4, seed=30), HyperParams(**PIPELINE_HP))
-    assert started == [] and len(calls) == 4  # two epochs of two steps
+    # Two epochs of two steps; the D step and the classifier's fakes each draw
+    # through `detached_fakes` once a step.
+    assert started == [] and len(calls) == (8 if name == "detached_fakes" else 4)
 
 
 def test_on_epoch_error_ends_the_gan_child(monkeypatch):
