@@ -9,8 +9,11 @@ commands, to one core, where every job trains in-process.
 The set, all at 2 epochs, threshold 0.4 and lr_c 2e-3, so fakes are kept:
 `train` of each variant with 2 seeds, percents 100 and 50 and augment on;
 `sweep` on each axis with lambdas 0, 0.1 and 1; a lambda 0 strategy sweep;
-`train` of the ecgan variant at lambda 0; and `train` of the conditional
-variant at lambda 0 with augment on. Then `eval` (its standard output
+`train` of the ecgan variant at lambda 0; `train` of the conditional
+variant at lambda 0 with augment on; and `train` of the ecgan variant with
+one seed on an IDX pair per split that this script writes itself (square
+16-px images in both), which covers `load_idx` and the check that the
+splits match. Then `eval` (its standard output
 written to `eval.txt`) and `generate` (a 16-image grid, `generate.pgm`)
 read one checkpoint the ecgan `train` wrote, and `eval` of one checkpoint
 the shared `train` wrote goes to `eval_shared.txt`, so the set also covers
@@ -24,6 +27,8 @@ import argparse
 import hashlib
 import json
 import os
+import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +45,24 @@ HYPERPARAMS = {"batch_size": 4, "epochs": 2, "base_width": 8, "depth": 1, "thres
 CHECKPOINT = "runs/train_ecgan/checkpoints/ecgan_p100_l0.1_s0.ckpt"
 SHARED_CHECKPOINT = "runs/train_shared/checkpoints/shared_p100_l0.1_s0.ckpt"
 EVAL_DATA = "synth:n_per_class=50,classes=3,size=16,seed=5"
+IDX_SIZE = 16
+IDX_DATASET = {
+    "source": "idx", "images": "data/train-images.idx", "labels": "data/train-labels.idx",
+    "test_images": "data/test-images.idx", "test_labels": "data/test-labels.idx",
+}
+
+
+def write_idx(out, split, n, seed):
+    """An IDX pair of `n` square IDX_SIZE-px images in `out/data`, class k
+    noisy around gray level 64(k+1). The bytes come from this script, not
+    from the package, so both trees train on the same files."""
+    rnd = random.Random(seed)
+    labels = [i % DATASET["classes"] for i in range(n)]
+    pixels = bytes(
+        min(255, max(0, 64 * (k + 1) + rnd.randint(-48, 48))) for k in labels for _ in range(IDX_SIZE**2)
+    )
+    (out / f"data/{split}-images.idx").write_bytes(struct.pack(">IIII", 0x803, n, IDX_SIZE, IDX_SIZE) + pixels)
+    (out / f"data/{split}-labels.idx").write_bytes(struct.pack(">II", 0x801, n) + bytes(labels))
 
 
 def commands():
@@ -55,6 +78,10 @@ def commands():
     yield "train_conditional_lambda0", {
         **base, "variant": "ecgan_conditional", "augment": True, "hyperparams": lambda0,
     }, ["train"]
+    yield "train_idx", {
+        **base, "dataset": IDX_DATASET, "seeds": [0], "dataset_percent": [100], "variant": "ecgan",
+        "hyperparams": HYPERPARAMS,
+    }, ["train"]
 
 
 def main():
@@ -68,6 +95,9 @@ def main():
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     out = Path(args.out)
     (out / "configs").mkdir(parents=True)
+    (out / "data").mkdir()
+    for split, n, seed in (("train", 24, 0), ("test", 12, 1)):
+        write_idx(out, split, n, seed)
     env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve() / "src")}
     env.pop("ECGAN_SEED", None)
 

@@ -17,6 +17,7 @@ from .errors import (
     ShapeError,
     SpecError,
     TrainingDiverged,
+    UsageError,
 )
 from .tensor import Rng, Tensor, backward, no_grad, precision
 
@@ -29,6 +30,7 @@ __all__ = [
     "ShapeError",
     "SpecError",
     "TrainingDiverged",
+    "UsageError",
     "Rng",
     "Tensor",
     "backward",

@@ -1,11 +1,11 @@
 """Single-file binary checkpoints of trained networks.
 
 Layout: 8-byte magic "ECGANCK1", a little-endian u64 header length, a
-UTF-8 JSON header that gives each key once per object, then raw record
-payloads in header order. The header carries the format version, each
-component's network spec and mode, and a manifest of (name, shape, dtype)
-for every record. Float records are little-endian float32; round-trips
-are bit-exact.
+UTF-8 JSON header that gives each key once per object and names each
+record once, then raw record payloads in header order. The header carries
+the format version, each component's network spec and mode, and a manifest
+of (name, shape, dtype) for every record. Float records are little-endian
+float32; round-trips are bit-exact.
 
 Format 2 holds networks only: one "<component>/<parameter>" record per
 parameter and running statistic. Version-1 files still load with the same
@@ -185,6 +185,8 @@ def load_checkpoint(path):
     arrays = {}
     pos = 16 + hlen
     for rec in header["records"]:
+        if rec["name"] in arrays:
+            raise FormatError(f"{path}: repeated record {rec['name']!r}", offset=pos)
         if rec.get("dtype") != _RECORD_DTYPE.str:
             raise FormatError(f"{path}: record {rec['name']!r} has dtype {rec.get('dtype')}", offset=pos)
         count = math.prod(rec["shape"])  # a Python int: a huge shape cannot wrap around

@@ -7,8 +7,8 @@
 
 Seed precedence: --seed flag, then the ECGAN_SEED environment variable,
 then the config file (or the generate default of 0). Errors print one
-`error: ...` line on stderr and exit nonzero: 2 for configuration and
-format problems, 1 for runtime failures such as divergence.
+`error: ...` line on stderr and exit nonzero: 2 for a `UsageError` (bad
+configs, data or files), 1 for runtime failures such as divergence.
 
 OpenBLAS runs every GEMM on the calling thread (`processes.one_blas_thread`).
 """
@@ -20,20 +20,8 @@ import os
 import sys
 
 from . import harness
-from .errors import (
-    ConfigError,
-    ContractError,
-    DataError,
-    FormatError,
-    InvalidLabelError,
-    ShapeError,
-    SpecError,
-    TrainingDiverged,
-)
+from .errors import ConfigError, ContractError, TrainingDiverged, UsageError
 from .processes import one_blas_thread
-
-_USAGE_ERRORS = (ConfigError, ContractError, DataError, FormatError,
-                 InvalidLabelError, ShapeError, SpecError)
 
 
 def _build_parser():
@@ -102,7 +90,7 @@ def main(argv=None):
     except TrainingDiverged as e:
         print(f"error: training diverged: {e}", file=sys.stderr)
         return 1
-    except _USAGE_ERRORS as e:
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

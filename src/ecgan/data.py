@@ -3,7 +3,8 @@
 Sources: IDX image/label file pairs, directories of PGM/PPM files with a
 labels.csv manifest, and a built-in procedurally rendered shapes corpus
 for desk-scale experiments. Images are float32 [N,C,H,W] in [0,1] until
-`normalize` maps them to [-1,1] for the networks.
+`normalize` maps them to [-1,1] for the networks. A dataset whose image
+size is read must hold square images (`Dataset.image_size`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,15 @@ from .tensor import Rng, Tensor
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+
+
+def require_same_shape(a, b, error, message):
+    """Raise `error(message)` at the first of num_classes, image_size and
+    channels on which `a` and `b` (datasets or network specs) differ;
+    `message` is formatted with that field's name and its two values."""
+    for what in ("num_classes", "image_size", "channels"):
+        if getattr(a, what) != getattr(b, what):
+            raise error(message.format(what=what, a=getattr(a, what), b=getattr(b, what)))
 
 
 @dataclass
@@ -59,7 +69,11 @@ class Dataset:
 
     @property
     def image_size(self):
-        return self.images.shape[2]
+        """The side of the square images; non-square ones are a DataError."""
+        height, width = self.images.shape[2:]
+        if height != width:
+            raise DataError(f"images must be square, got height {height} and width {width}")
+        return height
 
     @property
     def channels(self):

@@ -1,23 +1,27 @@
 """Exception types shared across the package."""
 
 
-class ShapeError(ValueError):
+class UsageError(Exception):
+    """Bad input, not a fault of the program: the CLI prints it and exits 2."""
+
+
+class ShapeError(UsageError, ValueError):
     """Tensor operands have incompatible or invalid shapes."""
 
 
-class InvalidLabelError(ValueError):
+class InvalidLabelError(UsageError, ValueError):
     """A class label is outside [0, num_classes)."""
 
 
-class SpecError(ValueError):
+class SpecError(UsageError, ValueError):
     """A network or dataset specification is invalid."""
 
 
-class ContractError(RuntimeError):
+class ContractError(UsageError, RuntimeError):
     """An API precondition was violated by the caller."""
 
 
-class FormatError(ValueError):
+class FormatError(UsageError, ValueError):
     """A file does not conform to its declared format.
 
     ``offset`` is the byte position of the problem when known.
@@ -30,11 +34,11 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-class ConfigError(ValueError):
+class ConfigError(UsageError, ValueError):
     """An experiment configuration document is invalid."""
 
 
-class DataError(ValueError):
+class DataError(UsageError, ValueError):
     """A dataset operation cannot be satisfied by the data."""
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import pgm, training
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import load_config, split_specs
-from .data import SOURCES, denormalize, load_source, subsample, value_type
+from .data import SOURCES, denormalize, load_source, require_same_shape, subsample, value_type
 from .errors import ContractError, DataError, TrainingDiverged
 from .networks import conditional_latent, draw_latent
 from .processes import ChildStream
@@ -50,17 +50,15 @@ def fmt(x):
 
 def load_datasets(dataset_cfg):
     """(train, test) datasets for a config's dataset block. Synth draws the
-    test split from the data seed after the training split's."""
+    test split from the data seed after the training split's. The splits
+    must match in classes, image size and channels (a DataError)."""
     source = dataset_cfg["source"]
     train_spec, test_spec = split_specs(dataset_cfg)
     if source == "synth":
         test_spec["seed"] += 1
     train_ds = load_source(source, train_spec)
     test_ds = load_source(source, test_spec)
-    if train_ds.num_classes != test_ds.num_classes:
-        raise DataError(
-            f"train has {train_ds.num_classes} classes but test has {test_ds.num_classes}"
-        )
+    require_same_shape(train_ds, test_ds, DataError, "train has {what}={a} but test has {what}={b}")
     return train_ds, test_ds
 
 
@@ -415,11 +413,7 @@ def cmd_eval(ckpt_path, data_spec):
     ck = load_checkpoint(ckpt_path)
     net = ck.build(ck.component_for_role("classifier", "shared_discriminator")).eval()
     dataset = parse_data_spec(data_spec)
-    for what in ("num_classes", "image_size", "channels"):
-        if getattr(dataset, what) != getattr(net.spec, what):
-            raise ContractError(
-                f"dataset has {what}={getattr(dataset, what)}, classifier expects {what}={getattr(net.spec, what)}"
-            )
+    require_same_shape(dataset, net.spec, ContractError, "dataset has {what}={a}, classifier expects {what}={b}")
     acc = evaluate(net, dataset)
     print(f"accuracy={acc:.4f}")
     return 0

@@ -51,10 +51,10 @@ class NetworkSpec:
     """
 
     role: str
-    image_size: int = 32
-    channels: int = 3
-    num_classes: int = 10
-    base_width: int = 16
+    image_size: int
+    channels: int
+    num_classes: int
+    base_width: int
     conditional: bool = False
     depth: int = 1
 
@@ -137,7 +137,7 @@ class Network:
 
     role = None
 
-    def __init__(self, spec, rng=None):
+    def __init__(self, spec, rng):
         self.spec = spec
         self.mode = "train"
         self._params = {}

@@ -14,6 +14,7 @@ from .errors import ContractError
 
 # Biases and batch-norm affine parameters are not decayed.
 _EXEMPT_SUFFIXES = (".b", ".gamma", ".beta")
+ADAM_EPS = 1e-8  # read by every step
 
 
 def apply_weight_decay(params, coefficient):
@@ -35,16 +36,15 @@ class Adam:
     """Adam with bias correction over a list of (name, tensor) pairs.
 
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + ADAM_EPS)
     """
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr, betas=(0.9, 0.999)):
         self.params = [(n, p) for n, p in params if p.requires_grad]
         if len({n for n, _ in self.params}) != len(self.params):
             raise ContractError("duplicate parameter names")
         self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
         self.step_count = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.params}
         self.v = {n: np.zeros_like(p.data) for n, p in self.params}
@@ -69,4 +69,4 @@ class Adam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

@@ -1,4 +1,5 @@
-"""Binary PGM (P5) and PPM (P6) reading/writing, 8-bit only, plus grid tiling.
+"""Binary PGM (P5) and PPM (P6) files, 8-bit only, plus grid tiling.
+`read_image` and `write_image` hold [H,W] images in P5 and [H,W,3] in P6.
 
 The header grammar is the classic netpbm one: magic, whitespace-separated
 width/height/maxval with '#' comments allowed between tokens, a single
@@ -61,25 +62,13 @@ def read_image(path):
     return arr.reshape(height, width) if nch == 1 else arr.reshape(height, width, 3)
 
 
-def write_pgm(path, image):
-    """Write uint8 [H,W] as binary P5."""
+def write_image(path, image):
+    """Write uint8 [H,W] as binary P5, or [H,W,3] as binary P6."""
     image = np.ascontiguousarray(image, dtype=np.uint8)
-    if image.ndim != 2:
-        raise FormatError(f"write_pgm needs [H,W], got shape {image.shape}")
-    h, w = image.shape
+    if image.ndim not in (2, 3) or image.shape[2:] not in ((), (3,)):
+        raise FormatError(f"write_image needs [H,W] or [H,W,3], got shape {image.shape}")
     with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (w, h))
-        f.write(image.tobytes())
-
-
-def write_ppm(path, image):
-    """Write uint8 [H,W,3] as binary P6."""
-    image = np.ascontiguousarray(image, dtype=np.uint8)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise FormatError(f"write_ppm needs [H,W,3], got shape {image.shape}")
-    h, w, _ = image.shape
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (w, h))
+        f.write(b"%s\n%d %d\n255\n" % (b"P5" if image.ndim == 2 else b"P6", image.shape[1], image.shape[0]))
         f.write(image.tobytes())
 
 
@@ -101,8 +90,4 @@ def tile_grid(images):
 
 def write_grid(path, images):
     """Write a tiled grid; P5 for 1-channel input, P6 for 3-channel."""
-    grid = tile_grid(images)
-    if grid.ndim == 2:
-        write_pgm(path, grid)
-    else:
-        write_ppm(path, grid)
+    write_image(path, tile_grid(images))

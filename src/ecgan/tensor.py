@@ -34,6 +34,8 @@ _GRAD_ENABLED = True
 BCE_EPS = 1e-7
 # Added to the variance under batch norm's square root.
 BN_EPS = 1e-5
+# Weight of the batch statistics in batch norm's running averages.
+BN_MOMENTUM = 0.1
 
 
 def default_dtype():
@@ -154,22 +156,8 @@ class Tensor:
         return float(self.data.item())
 
     def detach(self):
-        """A view of the same data with no graph history."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out.node = None
-        return out
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, scalar):
-        return scale(self, scalar)
-
-    def __rmul__(self, scalar):
-        return scale(self, scalar)
+        """The same data, not copied, with no graph history."""
+        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -596,12 +584,12 @@ def conv_transpose2d(x, w, bias=None, stride=1, pad=0):
     return _attach(out, "conv_transpose2d", inputs, back)
 
 
-def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.1, update_running=True):
+def batchnorm2d(x, gamma, beta, running_mean, running_var, training, update_running=True):
     """Per-channel batch normalization with affine scale/shift.
 
     Train mode normalizes by the batch mean/variance over (N,H,W) and,
     when ``update_running`` is set, folds them into the running stats by
-    exponential moving average (new = (1-momentum)*old + momentum*batch,
+    exponential moving average (new = (1-BN_MOMENTUM)*old + BN_MOMENTUM*batch,
     unbiased variance when the batch has more than one element). Eval
     mode normalizes by the running stats. Both divide by
     sqrt(variance + BN_EPS). ``running_mean``/``running_var`` are plain
@@ -625,8 +613,8 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
         var = (d * d).sum(axis=axes) / count
         if update_running:
             bump = var * (count / (count - 1)) if count > 1 else var
-            running_mean.data[:] = (1.0 - momentum) * running_mean.data + momentum * mu
-            running_var.data[:] = (1.0 - momentum) * running_var.data + momentum * bump
+            running_mean.data[:] = (1.0 - BN_MOMENTUM) * running_mean.data + BN_MOMENTUM * mu
+            running_var.data[:] = (1.0 - BN_MOMENTUM) * running_var.data + BN_MOMENTUM * bump
     else:
         d = x.data - running_mean.data[None, :, None, None]
         var = running_var.data

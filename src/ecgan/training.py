@@ -144,13 +144,13 @@ def _check_finite(value, step, what):
 
 def detached_fakes(g, n, rng):
     """`n` fakes for a player that does not train G: latents from `rng`
-    through G under no_grad, leaving G's running stats untouched, detached.
+    through G under no_grad (no graph), leaving G's running stats untouched.
     Returns (fakes, classes): the classes a conditional G drew them for
     (`balanced_labels`), or None."""
     lv = draw_latent(n, g.spec.num_classes, g.spec.conditional, rng)
     with no_grad():
         fake = g.forward(lv.values, update_stats=False)
-    return fake.detach(), lv.conditional_class
+    return fake, lv.conditional_class
 
 
 def discriminator_step(d, g, real_images, opt_d, rng, step=0, labels=None):
@@ -274,6 +274,7 @@ def shared_step(sd, g, batch, hp, opt_sd, opt_g, rng, step=0):
 # Cores this process may use, when it is one of several job children that
 # share the affinity set (see `harness.run_cells`); None means all of them.
 core_budget = None
+EVAL_CHUNK = 16  # images per `evaluate` chunk, read by every call
 
 
 def usable_cores():
@@ -283,28 +284,28 @@ def usable_cores():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def evaluate(net, dataset, batch_size=16):
+def evaluate(net, dataset):
     """Accuracy of argmax predictions in eval mode (running statistics).
 
-    The dataset is split into `batch_size`-image chunks, dealt into one share
+    The dataset is split into `EVAL_CHUNK`-image chunks, dealt into one share
     per usable core: the calling process counts share 0, and each other share
     is counted in a `ChildStream` child that sends back its count. In eval
     mode a sample's logits do not depend on the chunk it is in, so the result
-    is exact whatever the core count. The default of 16 images is the fastest
-    chunk measured: 500 images on one core took 342 / 265 / 344 / 604 ms at
+    is exact whatever the core count. 16 images is the fastest chunk
+    measured: 500 images on one core took 342 / 265 / 344 / 604 ms at
     chunks of 4 / 16 / 64 / 500. Eval mode folds each batch norm into the
     conv before it (`networks._conv_bn`); with the fold, chunks of 32 timed
     no better than 16 (3000 images on 2 cores: 0.74 against 0.65 s).
     """
     if len(dataset) == 0:
         raise ContractError("cannot evaluate on an empty dataset")
-    starts = range(0, len(dataset), batch_size)
+    starts = range(0, len(dataset), EVAL_CHUNK)
     workers = min(usable_cores(), len(starts))
 
     def count_correct(share):
         correct = 0
         for start in starts[share::workers]:
-            chunk = slice(start, start + batch_size)
+            chunk = slice(start, start + EVAL_CHUNK)
             logits = net.class_logits(Tensor(normalize(dataset.images[chunk])))
             correct += int((logits.data.argmax(axis=1) == dataset.labels[chunk]).sum())
         return correct

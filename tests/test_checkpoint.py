@@ -183,6 +183,31 @@ def test_repeated_header_key(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "repeated key 'mode'" in err
 
 
+def test_repeated_record(tmp_path, capsys):
+    # With its payload appended, a second copy of a record loaded as 63
+    # records and 62 arrays: the later copy won.
+    path, buf = good_bytes(tmp_path)
+    stem = "classifier/stem.conv.w"
+    ck = C.load_checkpoint(path)
+    (hlen,) = struct.unpack("<Q", buf[8:16])
+    payload = len(buf) - 16 - hlen
+
+    def repeat_stem(h):
+        h["records"].append(next(r for r in h["records"] if r["name"] == stem))
+        return h
+
+    rewrite_header(path, repeat_stem)
+    with open(path, "ab") as f:
+        f.write(ck.arrays[stem].tobytes())
+    (hlen,) = struct.unpack("<Q", path.read_bytes()[8:16])
+    with pytest.raises(FormatError, match=f"repeated record '{stem}'") as exc:
+        C.load_checkpoint(path)
+    assert exc.value.offset == 16 + hlen + payload  # where the second copy's payload starts
+    assert cli.main(["eval", str(path), "--data", "synth:n_per_class=2,classes=3,size=16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"repeated record '{stem}'" in err
+
+
 def test_unsupported_version(tmp_path):
     path, _ = good_bytes(tmp_path)
     rewrite_header(path, lambda h: {**h, "format_version": 99})
@@ -239,6 +264,14 @@ def _set_first_record_shape(shape):
     return edit
 
 
+def _drop_classifier_spec(field):
+    def edit(h):
+        del h["components"]["classifier"]["spec"][field]
+        return h
+
+    return edit
+
+
 def _set_classifier_spec(field, value):
     def edit(h):
         h["components"]["classifier"]["spec"][field] = value
@@ -255,10 +288,12 @@ def _set_classifier_spec(field, value):
     (_set_classifier_spec("depth", 1.5), "spec field 'depth' = 1.5"),
     (_set_classifier_spec("depth", 0), "depth must be >= 1"),
     (_set_classifier_spec("width", 8), "unexpected keyword argument 'width'"),
+    (_drop_classifier_spec("base_width"), "missing 1 required positional argument: 'base_width'"),
     (_set_first_record_shape([2**40, 2**40]), "truncated record"),
     (_set_first_record_shape([4, -1]), "has shape \\[4, -1\\]"),
 ], ids=["record-without-dtype", "no-records", "list-header", "string-depth",
-        "float-depth", "zero-depth", "unknown-spec-field", "huge-shape", "negative-dim"])
+        "float-depth", "zero-depth", "unknown-spec-field", "missing-spec-field", "huge-shape",
+        "negative-dim"])
 def test_malformed_header_is_format_error(tmp_path, edit, match):
     path, _ = good_bytes(tmp_path)
     rewrite_header(path, edit)

@@ -205,7 +205,7 @@ def test_batchnorm_train_normalizes(rng):
 def test_batchnorm_running_stats_ema(rng):
     x = rng.normal(loc=1.5, scale=3.0, size=(4, 2, 3, 3))
     gamma, beta, rmean, rvar = _bn_state(2)
-    T.batchnorm2d(t(x, grad=False), gamma, beta, rmean, rvar, training=True, momentum=0.1)
+    T.batchnorm2d(t(x, grad=False), gamma, beta, rmean, rvar, training=True)
     count = 4 * 3 * 3
     mu = x.mean(axis=(0, 2, 3))
     var = x.var(axis=(0, 2, 3)) * count / (count - 1)
@@ -215,14 +215,15 @@ def test_batchnorm_running_stats_ema(rng):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(8, 4, 5, 5), (1, 3, 4, 7), (1, 2, 1, 1), (3, 1, 2, 9)])
-def test_batchnorm_train_stats_equal_numpy(rng, shape, dtype):
+def test_batchnorm_train_stats_equal_numpy(rng, monkeypatch, shape, dtype):
+    monkeypatch.setattr(T, "BN_MOMENTUM", 1.0)
     x = rng.normal(loc=2.0, scale=3.0, size=shape).astype(dtype)
     c = shape[1]
     count = shape[0] * shape[2] * shape[3]
     rmean, rvar = T.Tensor(np.zeros(c, dtype)), T.Tensor(np.ones(c, dtype))
     one = T.Tensor(np.ones(c, dtype))
     zero = T.Tensor(np.zeros(c, dtype))
-    out = T.batchnorm2d(T.Tensor(x), one, zero, rmean, rvar, training=True, momentum=1.0).data
+    out = T.batchnorm2d(T.Tensor(x), one, zero, rmean, rvar, training=True).data
     mu = x.mean(axis=(0, 2, 3))
     var = np.var(x, axis=(0, 2, 3))
     np.testing.assert_array_equal(rmean.data, mu)

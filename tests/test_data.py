@@ -171,7 +171,7 @@ def write_manifest(root, rows, header="filename,label"):
 def test_image_dir_grayscale(tmp_path, rng):
     imgs = [rng.integers(0, 256, (4, 4), dtype=np.uint8) for _ in range(3)]
     for i, img in enumerate(imgs):
-        pgm.write_pgm(tmp_path / f"{i}.pgm", img)
+        pgm.write_image(tmp_path / f"{i}.pgm", img)
     write_manifest(tmp_path, [(f"{i}.pgm", i % 2) for i in range(3)])
     ds = load_image_dir(str(tmp_path), size=4, channels=1)
     assert ds.images.shape == (3, 1, 4, 4)
@@ -181,7 +181,7 @@ def test_image_dir_grayscale(tmp_path, rng):
 
 
 def test_image_dir_replicates_gray_to_rgb(tmp_path):
-    pgm.write_pgm(tmp_path / "a.pgm", np.full((4, 4), 100, dtype=np.uint8))
+    pgm.write_image(tmp_path / "a.pgm", np.full((4, 4), 100, dtype=np.uint8))
     write_manifest(tmp_path, [("a.pgm", 0), ("a.pgm", 1)])
     ds = load_image_dir(str(tmp_path), size=4, channels=3)
     assert ds.images.shape == (2, 3, 4, 4)
@@ -193,7 +193,7 @@ def test_image_dir_averages_rgb_to_gray(tmp_path):
     img[..., 0] = 30
     img[..., 1] = 60
     img[..., 2] = 90
-    pgm.write_ppm(tmp_path / "c.ppm", img)
+    pgm.write_image(tmp_path / "c.ppm", img)
     write_manifest(tmp_path, [("c.ppm", 0), ("c.ppm", 1)])
     ds = load_image_dir(str(tmp_path), size=2, channels=1)
     np.testing.assert_allclose(ds.images, 60.0 / 255.0, atol=1e-6)
@@ -202,7 +202,7 @@ def test_image_dir_averages_rgb_to_gray(tmp_path):
 def test_image_dir_keeps_color(tmp_path):
     img = np.zeros((2, 2, 3), dtype=np.uint8)
     img[..., 2] = 255
-    pgm.write_ppm(tmp_path / "c.ppm", img)
+    pgm.write_image(tmp_path / "c.ppm", img)
     write_manifest(tmp_path, [("c.ppm", 0), ("c.ppm", 1)])
     ds = load_image_dir(str(tmp_path), size=2, channels=3)
     assert (ds.images[:, 2] == 1.0).all() and (ds.images[:, :2] == 0.0).all()
@@ -210,7 +210,7 @@ def test_image_dir_keeps_color(tmp_path):
 
 def test_resize_nearest_picks_center_samples(tmp_path):
     img = (np.arange(64, dtype=np.uint8).reshape(8, 8)) * 3
-    pgm.write_pgm(tmp_path / "big.pgm", img)
+    pgm.write_image(tmp_path / "big.pgm", img)
     write_manifest(tmp_path, [("big.pgm", 0), ("big.pgm", 1)])
     ds = load_image_dir(str(tmp_path), size=4, channels=1)
     # (i + 0.5) * 8/4 -> source rows/cols 1,3,5,7
@@ -231,7 +231,7 @@ def test_resize_nearest_picks_center_samples(tmp_path):
     ],
 )
 def test_image_dir_rejects_malformed(tmp_path, setup, match):
-    pgm.write_pgm(tmp_path / "a.pgm", np.zeros((2, 2), dtype=np.uint8))
+    pgm.write_image(tmp_path / "a.pgm", np.zeros((2, 2), dtype=np.uint8))
     setup(tmp_path)
     with pytest.raises(DataError, match=match):
         load_image_dir(str(tmp_path), size=2)

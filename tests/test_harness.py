@@ -22,7 +22,17 @@ from ecgan import pgm
 from ecgan.checkpoint import load_checkpoint, save_checkpoint
 from ecgan.config import ExperimentConfig, load_config
 from ecgan.data import synth_shapes, write_idx
-from ecgan.errors import ConfigError, ContractError, DataError, TrainingDiverged
+from ecgan.errors import (
+    ConfigError,
+    ContractError,
+    DataError,
+    FormatError,
+    InvalidLabelError,
+    ShapeError,
+    SpecError,
+    TrainingDiverged,
+    UsageError,
+)
 from ecgan.networks import NetworkSpec, build_network
 from ecgan.tensor import Rng
 
@@ -787,7 +797,7 @@ def test_eval_rejects_images_of_another_size(tmp_path, capsys, key, role, spec_s
 
 def test_eval_rejects_images_with_other_channels(tmp_path):
     for name in ("a.ppm", "b.ppm"):
-        pgm.write_ppm(tmp_path / name, np.zeros((16, 16, 3)))
+        pgm.write_image(tmp_path / name, np.zeros((16, 16, 3)))
     (tmp_path / "labels.csv").write_text("filename,label\na.ppm,0\nb.ppm,1\n")
     spec = NetworkSpec(role="classifier", image_size=16, channels=1, num_classes=2, base_width=8)
     path = tmp_path / "c.ckpt"
@@ -831,7 +841,7 @@ def write_split_files(tmp_path, rng):
         root = tmp_path / split
         root.mkdir()
         for i, img in enumerate(pixels):
-            pgm.write_pgm(root / f"{i}.pgm", img)
+            pgm.write_image(root / f"{i}.pgm", img)
         (root / "labels.csv").write_text(
             "filename,label\n" + "".join(f"{i}.pgm,{label}\n" for i, label in enumerate(labels)))
         splits[split] = pixels[:, None] / np.float32(255.0), labels
@@ -882,8 +892,8 @@ def test_parse_data_spec_rejects_what_it_cannot_use(spec, match):
 def test_dir_spec_takes_one_or_three_channels(tmp_path, capsys, channels):
     # A PGM beside a PPM: any other count ended in numpy's ValueError on
     # stacking them, which the CLI does not turn into an error line.
-    pgm.write_pgm(tmp_path / "a.pgm", np.zeros((4, 4)))
-    pgm.write_ppm(tmp_path / "b.ppm", np.zeros((4, 4, 3)))
+    pgm.write_image(tmp_path / "a.pgm", np.zeros((4, 4)))
+    pgm.write_image(tmp_path / "b.ppm", np.zeros((4, 4, 3)))
     (tmp_path / "labels.csv").write_text("filename,label\na.pgm,0\nb.ppm,1\n")
     spec = f"dir:root={tmp_path},size=4,channels={channels}"
     with pytest.raises(DataError, match=f"channels must be 1 or 3, got {channels}"):
@@ -985,7 +995,7 @@ def test_cli_rejects_images_with_an_empty_axis(tmp_path, capsys, command):
     # numpy's min() over 0x0 images raised a ValueError, which the CLI does
     # not turn into an error line.
     if command == "eval_dir":
-        pgm.write_pgm(tmp_path / "a.pgm", np.zeros((4, 4)))
+        pgm.write_image(tmp_path / "a.pgm", np.zeros((4, 4)))
         (tmp_path / "labels.csv").write_text("filename,label\na.pgm,0\n")
         ckpt = tmp_path / "c.ckpt"
         spec = NetworkSpec(role="classifier", image_size=16, channels=1, num_classes=2, base_width=8)
@@ -1026,6 +1036,71 @@ def test_cli_rejects_a_repeated_config_key(tmp_path, capsys, opening, repeat):
     key = repeat.split('"')[1]
     assert capsys.readouterr().err == f"error: repeated key {key!r}\n"
     assert not (tmp_path / "out").exists()
+
+
+def write_idx_split(tmp_path, split, height, width, classes=3):
+    """An IDX pair of black images, one per class: (images path, labels path)."""
+    files = str(tmp_path / f"{split}-images.idx"), str(tmp_path / f"{split}-labels.idx")
+    write_idx(*files, np.zeros((classes, 1, height, width)), np.arange(classes))
+    return files
+
+
+def idx_config(tmp_path, train, test):
+    """A tiny config on an IDX pair per split; `train` and `test` are
+    (height, width, classes)."""
+    (images, labels), (test_images, test_labels) = (
+        write_idx_split(tmp_path, split, *shape) for split, shape in (("train", train), ("test", test)))
+    path, _ = tiny_config(tmp_path, dataset={
+        "source": "idx", "images": images, "labels": labels, "test_images": test_images, "test_labels": test_labels,
+    })
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cli_rejects_images_that_are_not_square(tmp_path, capsys, command):
+    # eval of a 32-px classifier on 32x16 images printed an accuracy and
+    # exited 0, as it compared only the height; baseline trained on them.
+    if command == "train":
+        argv = ["train", idx_config(tmp_path, (32, 16, 3), (32, 16, 3))]
+    else:
+        images, labels = write_idx_split(tmp_path, "test", 32, 16)
+        ckpt = tmp_path / "c.ckpt"
+        spec = NetworkSpec(role="classifier", image_size=32, channels=1, num_classes=3, base_width=8)
+        save_checkpoint(ckpt, {"classifier": build_network(spec, Rng(0, "init"))})
+        argv = ["eval", str(ckpt), "--data", f"idx:images={images},labels={labels}"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: images must be square, got height 32 and width 16\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("test, message", [
+    ((16, 16, 3), "train has image_size=32 but test has image_size=16"),
+    ((32, 32, 2), "train has num_classes=3 but test has num_classes=2"),
+], ids=["image_size", "num_classes"])
+def test_cli_rejects_splits_that_do_not_match(tmp_path, capsys, test, message):
+    # 32-px train images with 16-px test images trained, and wrote a
+    # test_acc measured at 16 px.
+    assert cli.main(["train", idx_config(tmp_path, (32, 32, 3), test)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+USAGE_ERRORS = [ConfigError, ContractError, DataError, FormatError, InvalidLabelError, ShapeError, SpecError]
+
+
+@pytest.mark.parametrize("error", USAGE_ERRORS, ids=[e.__name__ for e in USAGE_ERRORS])
+def test_cli_turns_each_usage_error_into_one_line(monkeypatch, capsys, error):
+    assert issubclass(error, UsageError)
+    assert issubclass(error, RuntimeError if error is ContractError else ValueError)
+
+    def fail(ckpt_path, data_spec):
+        raise error("bad input")
+
+    monkeypatch.setattr(H, "cmd_eval", fail)
+    assert cli.main(["eval", "c.ckpt", "--data", "synth:"]) == 2
+    assert capsys.readouterr().err == "error: bad input\n"
 
 
 def test_cli_os_error_exit_code(tmp_path, capsys):

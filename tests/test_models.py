@@ -492,8 +492,7 @@ def test_eval_fold_reads_the_current_parameters():
 
 
 def test_eval_fold_carries_a_conv_bias():
-    net = N.Network(spec_for("discriminator"))
-    net._init_rng = Rng(0, "init/fold")
+    net = N.Network(spec_for("discriminator"), Rng(0, "init/fold"))
     conv = N._Conv(net, "conv", 2, 3, 3, 1, 1, std=0.5, bias=True)
     bn = N._Bn(net, "bn", 3)
     _off_init_stats(net, seed=5)

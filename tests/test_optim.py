@@ -51,7 +51,7 @@ def test_zero_grad_step_is_noop():
 def test_five_step_trace_matches_scalar_oracle():
     grads = [0.3, -1.2, 0.05, 2.0, -0.7]
     name, p = _param([10.0])
-    opt = Adam([(name, p)], lr=0.05, betas=(0.9, 0.999), eps=1e-8)
+    opt = Adam([(name, p)], lr=0.05, betas=(0.9, 0.999))
     for g in grads:
         p.grad = np.array([g])
         opt.step()

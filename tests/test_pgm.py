@@ -10,14 +10,14 @@ from ecgan.errors import FormatError
 def test_pgm_round_trip(tmp_path, rng):
     img = rng.integers(0, 256, (7, 5), dtype=np.uint8)
     path = tmp_path / "img.pgm"
-    pgm.write_pgm(path, img)
+    pgm.write_image(path, img)
     np.testing.assert_array_equal(pgm.read_image(path), img)
 
 
 def test_ppm_round_trip(tmp_path, rng):
     img = rng.integers(0, 256, (4, 6, 3), dtype=np.uint8)
     path = tmp_path / "img.ppm"
-    pgm.write_ppm(path, img)
+    pgm.write_image(path, img)
     back = pgm.read_image(path)
     assert back.shape == (4, 6, 3)
     np.testing.assert_array_equal(back, img)
@@ -75,11 +75,20 @@ def test_error_offsets_point_into_file(tmp_path):
     assert exc.value.offset == len(truncated)
 
 
-def test_write_pgm_rejects_wrong_rank():
-    with pytest.raises(FormatError, match=r"\[H,W\]"):
-        pgm.write_pgm("/tmp/never.pgm", np.zeros((2, 2, 3), dtype=np.uint8))
-    with pytest.raises(FormatError, match=r"\[H,W,3\]"):
-        pgm.write_ppm("/tmp/never.ppm", np.zeros((2, 2), dtype=np.uint8))
+@pytest.mark.parametrize("shape", [(2, 2, 2), (4,)], ids=["2x2x2", "4"])
+def test_write_image_rejects_other_shapes(tmp_path, shape):
+    path = tmp_path / "never.pgm"
+    with pytest.raises(FormatError, match=r"\[H,W\] or \[H,W,3\]"):
+        pgm.write_image(path, np.zeros(shape, dtype=np.uint8))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape,header", [((2, 3), b"P5\n3 2\n255\n"), ((2, 3, 3), b"P6\n3 2\n255\n")])
+def test_write_image_bytes(tmp_path, shape, header):
+    image = np.arange(np.prod(shape), dtype=np.uint8).reshape(shape)
+    path = tmp_path / "img"
+    pgm.write_image(path, image)
+    assert path.read_bytes() == header + bytes(range(image.size))
 
 
 def test_tile_grid_layout():

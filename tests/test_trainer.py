@@ -221,7 +221,7 @@ def test_detached_fakes_carry_the_classes_they_were_drawn_for(conditional):
     with no_grad():
         expected = gen.forward(lv.values, update_stats=False).data
     np.testing.assert_array_equal(fakes.data, expected)
-    assert not fakes.requires_grad
+    assert not fakes.requires_grad and fakes.node is None
     if conditional:
         np.testing.assert_array_equal(classes, balanced_labels(5, 3))
     else:
@@ -681,13 +681,14 @@ def _per_sample_accuracy(cls, ds):
     return correct / len(ds)
 
 
-def test_evaluate_matches_per_sample_loop():
+def test_evaluate_matches_per_sample_loop(monkeypatch):
     ds = tiny_dataset(12, seed=25)  # 36 images
     cls = _warm_classifier(ds, seed=25)
-    assert evaluate(cls, ds, batch_size=7) == _per_sample_accuracy(cls, ds)
-    for n in (1, 15, 16, 17, 33):  # around the default 16-image chunk
+    for n in (1, 15, 16, 17, 33):  # around the 16-image chunk
         sub = Dataset(ds.images[:n], ds.labels[:n], ds.num_classes)
         assert evaluate(cls, sub) == _per_sample_accuracy(cls, sub), n
+    monkeypatch.setattr(TR, "EVAL_CHUNK", 7)
+    assert evaluate(cls, ds) == _per_sample_accuracy(cls, ds)
 
 
 def test_evaluate_counts_every_share_but_one_in_a_child(monkeypatch):
@@ -711,7 +712,10 @@ def test_evaluate_more_workers_than_cores(monkeypatch):
     cls.mode = "train"
     stats = {n: p.data.copy() for n, p in cls.parameters() if "running" in n}
     monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    accs = [evaluate(cls, ds, batch_size=b) for b in (16, 5)]
+    accs = []
+    for chunk in (16, 5):
+        monkeypatch.setattr(TR, "EVAL_CHUNK", chunk)
+        accs.append(evaluate(cls, ds))
     assert accs == [want, want]
     assert cls.mode == "train"
     for n, p in cls.parameters():
