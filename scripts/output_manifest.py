@@ -15,10 +15,12 @@ one seed on an IDX pair per split that this script writes itself (square
 16-px images in both), which covers `load_idx` and the check that the
 splits match. Then `eval` (its standard output
 written to `eval.txt`) and `generate` (a 16-image grid, `generate.pgm`)
-read one checkpoint the ecgan `train` wrote, and `eval` of one checkpoint
-the shared `train` wrote goes to `eval_shared.txt`, so the set also covers
-the eval-mode forwards of the classifier, the shared discriminator and the
-generator.
+read one checkpoint the ecgan `train` wrote, `eval` of one checkpoint
+the shared `train` wrote goes to `eval_shared.txt`, and `generate --class 1`
+of one checkpoint the conditional `train` wrote goes to
+`generate_class1.pgm`, so the set also covers restoring a network and the
+eval-mode forwards of the classifier, the shared discriminator and the
+unconditional and conditional generators.
 
     python scripts/output_manifest.py --src . --out OUT [--one-core]
 """
@@ -40,10 +42,12 @@ DATASET = {
 VARIANTS = ("baseline", "ecgan", "shared", "ecgan_conditional")
 HYPERPARAMS = {"batch_size": 4, "epochs": 2, "base_width": 8, "depth": 1, "threshold": 0.4, "lr_c": 2e-3}
 # What `eval` and `generate` read: a checkpoint of `train_ecgan` (and for
-# `eval` also one of `train_shared`, which holds no classifier), and a test
-# set of the corpus they trained on, drawn from another seed.
+# `eval` also one of `train_shared`, which holds no classifier; for
+# `generate --class` one of `train_ecgan_conditional`), and a test set of
+# the corpus they trained on, drawn from another seed.
 CHECKPOINT = "runs/train_ecgan/checkpoints/ecgan_p100_l0.1_s0.ckpt"
 SHARED_CHECKPOINT = "runs/train_shared/checkpoints/shared_p100_l0.1_s0.ckpt"
+CONDITIONAL_CHECKPOINT = "runs/train_ecgan_conditional/checkpoints/ecgan_conditional_p100_l0.1_s0.ckpt"
 EVAL_DATA = "synth:n_per_class=50,classes=3,size=16,seed=5"
 IDX_SIZE = 16
 IDX_DATASET = {
@@ -112,6 +116,7 @@ def main():
         with open(out / name, "w") as f:
             ecgan("eval", checkpoint, "--data", EVAL_DATA, stdout=f)
     ecgan("generate", CHECKPOINT, "--n", "16", "--out", "generate.pgm")
+    ecgan("generate", CONDITIONAL_CHECKPOINT, "--n", "16", "--class", "1", "--out", "generate_class1.pgm")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
 

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import ContractError, FormatError, unique_keys
 from .networks import NetworkSpec, build_network
-from .tensor import Rng
 
 MAGIC = b"ECGANCK1"
 FORMAT_VERSION = 2
@@ -115,13 +114,11 @@ class Checkpoint:
         return matches[0]
 
     def build(self, key):
-        """Reconstruct one network with its saved parameters."""
-        net = build_network(NetworkSpec(**self.components[key]["spec"]), Rng(0, f"restore/{key}"))
+        """Build one network from its spec and its own records, each checked
+        against the spec's shape before anything is allocated (`build_network`)."""
         prefix = f"{key}/"
-        state = {
-            n[len(prefix):]: a for n, a in self.arrays.items() if n.startswith(prefix)
-        }
-        net.load_state(state)
+        state = {n[len(prefix):]: a for n, a in self.arrays.items() if n.startswith(prefix)}
+        net = build_network(NetworkSpec(**self.components[key]["spec"]), state)
         net.mode = self.components[key]["mode"]
         return net
 
@@ -167,7 +164,7 @@ def load_checkpoint(path):
     hook = functools.partial(unique_keys, error=FormatError)
     try:
         header = json.loads(buf[16 : 16 + hlen].decode("utf-8"), object_pairs_hook=hook)
-    except (UnicodeDecodeError, json.JSONDecodeError, FormatError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, FormatError) as e:
         raise FormatError(f"{path}: bad header ({e})", offset=16) from None
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is a JSON {type(header).__name__}, not an object", offset=16)

@@ -145,7 +145,7 @@ def load_config(path):
     with open(path) as f:
         try:
             doc = json.load(f, object_pairs_hook=functools.partial(unique_keys, error=ConfigError))
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")

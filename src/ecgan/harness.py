@@ -50,14 +50,16 @@ def fmt(x):
 
 def load_datasets(dataset_cfg):
     """(train, test) datasets for a config's dataset block. Synth draws the
-    test split from the data seed after the training split's. The splits
-    must match in classes, image size and channels (a DataError)."""
+    test split from the data seed after the training split's. The train split
+    sets the class count, and the splits must match (a DataError)."""
     source = dataset_cfg["source"]
     train_spec, test_spec = split_specs(dataset_cfg)
     if source == "synth":
         test_spec["seed"] += 1
     train_ds = load_source(source, train_spec)
     test_ds = load_source(source, test_spec)
+    if test_ds.num_classes < train_ds.num_classes:  # a test split may lack the highest classes
+        test_ds.num_classes = train_ds.num_classes
     require_same_shape(train_ds, test_ds, DataError, "train has {what}={a} but test has {what}={b}")
     return train_ds, test_ds
 

@@ -1,10 +1,11 @@
 """Network builders: DCGAN generator/discriminator, a residual classifier,
 and a two-headed shared discriminator, plus class-conditional plumbing.
 
-All four roles are built from a `NetworkSpec` and an `Rng`; parameter
-creation order is fixed, so two builds from the same spec and seed are
-identical. Parameters (including batch-norm running statistics) live in
-a named, ordered registry that optimizers and checkpoints consume.
+All four roles are built from a `NetworkSpec` and an init `Rng` or saved
+arrays (`build_network`); parameter creation order is fixed, so two builds
+from the same spec and seed are identical. Parameters (including batch-norm
+running statistics) live in a named, ordered registry that optimizers and
+checkpoints consume.
 Calling a network runs its class's `forward`, as rebound by any wrapper.
 """
 
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import ContractError, InvalidLabelError, ShapeError, SpecError
 from .tensor import (
     BN_EPS,
+    Rng,
     Tensor,
     add,
     batchnorm2d,
@@ -29,7 +31,6 @@ from .tensor import (
     matmul,
     relu,
     reshape,
-    sigmoid,
     spatial_mean,
     tanh,
 )
@@ -133,22 +134,33 @@ def draw_latent(n, num_classes, conditional, rng):
 
 class Network:
     """Base: a named, ordered parameter registry plus a train/eval mode.
-    A subclass builds its layers from `rng`, the init stream, then drops it."""
+    A subclass makes its parameters with `add_param`, each from `source`."""
 
     role = None
 
-    def __init__(self, spec, rng):
+    def __init__(self, spec, source):
         self.spec = spec
         self.mode = "train"
         self._params = {}
-        self._init_rng = rng
+        self._source = source
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
-    def add_param(self, name, array, requires_grad=True):
+    def add_param(self, name, shape, loc=0.0, std=0.0, requires_grad=True):
+        """Parameter `name` of `shape`: drawn from normal(loc, std) if the source
+        is an init `Rng` (filled with `loc`, no draw, when `std` is 0), else the
+        source's saved array of that name, checked against `shape` first."""
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
+        if isinstance(self._source, Rng):
+            array = self._source.normal(shape, loc=loc, scale=std) if std else np.full(shape, loc)
+        elif name not in self._source:
+            raise ContractError(f"no saved parameter {name!r}")
+        else:
+            array = self._source[name]
+            if array.shape != tuple(shape):
+                raise ShapeError(f"parameter {name!r}: saved shape {array.shape} != {tuple(shape)}")
         t = Tensor(np.asarray(array, dtype=default_dtype()), requires_grad=requires_grad)
         self._params[name] = t
         return t
@@ -179,17 +191,6 @@ class Network:
         """Copies of every parameter array, keyed by name."""
         return {n: t.data.copy() for n, t in self._params.items()}
 
-    def load_state(self, state):
-        missing = [n for n in self._params if n not in state]
-        extra = [n for n in state if n not in self._params]
-        if missing or extra:
-            raise ContractError(f"state mismatch: missing {missing[:3]}, unexpected {extra[:3]}")
-        for n, t in self._params.items():
-            arr = np.asarray(state[n], dtype=t.data.dtype)
-            if arr.shape != t.data.shape:
-                raise ShapeError(f"parameter {n!r}: checkpoint shape {arr.shape} != {t.data.shape}")
-            t.data[...] = arr
-
 
 class _Conv:
     """A conv, or with `transposed` a transposed conv with a [cin, cout, k, k]
@@ -198,8 +199,8 @@ class _Conv:
     def __init__(self, net, name, cin, cout, k, stride, pad, std, bias, transposed=False):
         self.stride, self.pad, self.transposed = stride, pad, transposed
         shape = (cin, cout, k, k) if transposed else (cout, cin, k, k)
-        self.w = net.add_param(f"{name}.w", net._init_rng.normal(shape, scale=std))
-        self.b = net.add_param(f"{name}.b", np.zeros(cout)) if bias else None
+        self.w = net.add_param(f"{name}.w", shape, std=std)
+        self.b = net.add_param(f"{name}.b", (cout,)) if bias else None
 
     def __call__(self, x):
         op = conv_transpose2d if self.transposed else conv2d
@@ -208,8 +209,8 @@ class _Conv:
 
 class _Linear:
     def __init__(self, net, name, fan_in, fan_out, std, bias):
-        self.w = net.add_param(f"{name}.w", net._init_rng.normal((fan_in, fan_out), scale=std))
-        self.b = net.add_param(f"{name}.b", np.zeros(fan_out)) if bias else None
+        self.w = net.add_param(f"{name}.w", (fan_in, fan_out), std=std)
+        self.b = net.add_param(f"{name}.b", (fan_out,)) if bias else None
 
     def __call__(self, x):
         y = matmul(x, self.w)
@@ -222,11 +223,10 @@ class _Bn:
     reference cycle, freed only by the cyclic garbage collector."""
 
     def __init__(self, net, name, c, gamma_std=0.0):
-        gamma = np.ones(c) if gamma_std == 0 else net._init_rng.normal((c,), loc=1.0, scale=gamma_std)
-        self.gamma = net.add_param(f"{name}.gamma", gamma)
-        self.beta = net.add_param(f"{name}.beta", np.zeros(c))
-        self.rm = net.add_param(f"{name}.running_mean", np.zeros(c), requires_grad=False)
-        self.rv = net.add_param(f"{name}.running_var", np.ones(c), requires_grad=False)
+        self.gamma = net.add_param(f"{name}.gamma", (c,), loc=1.0, std=gamma_std)
+        self.beta = net.add_param(f"{name}.beta", (c,))
+        self.rm = net.add_param(f"{name}.running_mean", (c,), requires_grad=False)
+        self.rv = net.add_param(f"{name}.running_var", (c,), loc=1.0, requires_grad=False)
 
     def __call__(self, x, training, update_stats=True):
         return batchnorm2d(
@@ -292,8 +292,8 @@ class Generator(Network):
 
     role = "generator"
 
-    def __init__(self, spec, rng):
-        super().__init__(spec, rng)
+    def __init__(self, spec, source):
+        super().__init__(spec, source)
         m = spec.n_halvings
         w0 = spec.base_width * (1 << (m - 1))
         self.w0 = w0
@@ -308,7 +308,6 @@ class Generator(Network):
             self.blocks.append((conv, bn))
             cin = cout
         self.final = _Conv(self, "final", cin, spec.channels, 4, 2, 1, std=DCGAN_STD, bias=True, transposed=True)
-        del self._init_rng
 
     def forward(self, z, update_stats=True):
         if isinstance(z, LatentVector):
@@ -323,21 +322,21 @@ class Generator(Network):
 
 
 class Discriminator(Network):
-    """Image [N,C,S,S] -> probability of being real, shape [N,1].
+    """Image [N,C,S,S] -> logit of being real, shape [N,1]: sigmoid of it is
+    the probability, and `tensor.bce` takes it as it is.
 
     Stride-2 conv blocks (batch norm skipped on the first) with LeakyReLU
-    halve the map to 4x4; a 4x4 conv reduces to one sigmoid unit. When
+    halve the map to 4x4; a 4x4 conv reduces to one unit. When
     conditional, a constant channel carrying the encoded class label is
     concatenated after the first block.
     """
 
     role = "discriminator"
 
-    def __init__(self, spec, rng):
-        super().__init__(spec, rng)
+    def __init__(self, spec, source):
+        super().__init__(spec, source)
         self.blocks, cin = _dcgan_trunk(self, "blocks", 1 if spec.conditional else 0)
         self.final = _Conv(self, "final", cin, 1, 4, 1, 0, std=DCGAN_STD, bias=True)
-        del self._init_rng
 
     def forward(self, x, labels=None, update_stats=True):
         if self.spec.conditional and labels is None:
@@ -355,7 +354,7 @@ class Discriminator(Network):
             )
             h = concat_channels(h, Tensor(np.ascontiguousarray(plane)))
         out = self.final(_trunk_forward(self.blocks[1:], h, self.training, update_stats))
-        return sigmoid(reshape(out, (out.shape[0], 1)))
+        return reshape(out, (out.shape[0], 1))
 
 
 class _ResBlock:
@@ -391,8 +390,8 @@ class Classifier(Network):
 
     role = "classifier"
 
-    def __init__(self, spec, rng):
-        super().__init__(spec, rng)
+    def __init__(self, spec, source):
+        super().__init__(spec, source)
         w = spec.base_width
         self.stem = _Conv(self, "stem.conv", spec.channels, w, 3, 1, 1,
                           std=float(np.sqrt(2.0 / (spec.channels * 9))), bias=False)
@@ -409,7 +408,6 @@ class Classifier(Network):
             self.stages.append(blocks)
         self.fc = _Linear(self, "fc", cin, spec.num_classes,
                           std=float(np.sqrt(1.0 / cin)), bias=True)
-        del self._init_rng
 
     def forward(self, x, update_stats=True):
         h = relu(_conv_bn(self.stem, self.stem_bn, x, self.training, update_stats))
@@ -423,29 +421,26 @@ class Classifier(Network):
 
 
 class SharedDiscriminator(Network):
-    """Image -> (class logits [N,K], real-probability [N,1]).
+    """Image -> (class logits [N,K], real logit [N,1]).
 
     The trunk is the discriminator's conv stack down to the 4x4 map; two
     private 4x4-conv heads sit on top: a K-logit classification head and
-    a one-unit sigmoid discrimination head.
+    a one-logit discrimination head, read as the `Discriminator`'s output.
     """
 
     role = "shared_discriminator"
 
-    def __init__(self, spec, rng):
-        super().__init__(spec, rng)
+    def __init__(self, spec, source):
+        super().__init__(spec, source)
         self.blocks, cin = _dcgan_trunk(self, "trunk")
         self.head_c = _Conv(self, "head_c", cin, spec.num_classes, 4, 1, 0, std=DCGAN_STD, bias=True)
         self.head_d = _Conv(self, "head_d", cin, 1, 4, 1, 0, std=DCGAN_STD, bias=True)
-        del self._init_rng
 
     def forward(self, x, update_stats=True):
         h = _trunk_forward(self.blocks, x, self.training, update_stats)
         logits = self.head_c(h)
-        logits = reshape(logits, (logits.shape[0], self.spec.num_classes))
-        prob = self.head_d(h)
-        prob = sigmoid(reshape(prob, (prob.shape[0], 1)))
-        return logits, prob
+        real = self.head_d(h)
+        return reshape(logits, (logits.shape[0], self.spec.num_classes)), reshape(real, (real.shape[0], 1))
 
     def class_logits(self, x, update_stats=True):
         logits, _ = self.forward(x, update_stats)
@@ -459,7 +454,13 @@ class SharedDiscriminator(Network):
         return [n for n, _ in self._params.items() if n.startswith(prefix)]
 
 
-def build_network(spec, rng):
-    """Dispatch on spec.role."""
+def build_network(spec, source):
+    """The network of `spec.role`, each parameter drawn from `source`, an init
+    `Rng`, or taken from it, saved arrays by name (`Network.add_param`). A
+    saved array that no parameter takes is a ContractError."""
     classes = (Generator, Discriminator, Classifier, SharedDiscriminator)
-    return {cls.role: cls for cls in classes}[spec.role](spec, rng)
+    net = {cls.role: cls for cls in classes}[spec.role](spec, source)
+    extra = [] if isinstance(source, Rng) else [name for name in source if name not in net._params]
+    if extra:
+        raise ContractError(f"saved parameters {extra[:3]} are not in a {spec.role}")
+    return net

@@ -30,8 +30,6 @@ from .errors import ContractError, InvalidLabelError, ShapeError
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
 
-# Probability clamp for binary cross-entropy on raw probabilities.
-BCE_EPS = 1e-7
 # Added to the variance under batch norm's square root.
 BN_EPS = 1e-5
 # Weight of the batch statistics in batch norm's running averages.
@@ -349,11 +347,14 @@ def tanh(a):
     return _attach(out, "tanh", (a,), back)
 
 
-def sigmoid(a):
-    # stable on both tails
-    x = a.data
+def _sigmoid(x):
+    """Logistic function of an array, stable on both tails."""
     e = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+
+
+def sigmoid(a):
+    y = _sigmoid(a.data)
     out = Tensor(y)
 
     def back(g):
@@ -411,46 +412,24 @@ def cross_entropy(logits, labels):
     return _attach(out, "cross_entropy", (logits,), back)
 
 
-def _softplus(x):
-    return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def bce(prob, target):
-    """Binary cross-entropy on probabilities, mean over all elements.
-
-    ``target`` is 0/1 (scalar or per-element array). When ``prob`` is the
-    direct output of `sigmoid`, the loss is computed from the saved
-    pre-sigmoid values in log-sum-exp form, which stays finite however
-    saturated the sigmoid is. Raw probability inputs are clamped to
-    [BCE_EPS, 1 - BCE_EPS] first; the clamp bounds each term away from
-    infinity and contributes zero gradient where it engages.
+def bce(logits, target):
+    """Binary cross-entropy of sigmoid(logits) against 0/1 `target` (scalar
+    or per-element array), mean over all elements. It is computed from the
+    logits in log-sum-exp form, mean(softplus(z) - y*z), which stays finite
+    however saturated the sigmoid is; the gradient is (sigmoid(z) - y) / n.
     """
-    y = np.asarray(target, dtype=prob.data.dtype)
-    y = np.broadcast_to(y, prob.shape)
-    n = prob.size
+    z = logits.data
+    y = np.broadcast_to(np.asarray(target, dtype=z.dtype), z.shape)
+    n = z.size
     if n == 0:
         raise ShapeError("bce() needs at least one element")
-
-    if prob.node is not None and prob.node.op == "sigmoid":
-        logits = prob.node.inputs[0]
-        z = logits.data
-        out = Tensor(((_softplus(z) - y * z).sum() / n).astype(z.dtype))
-
-        def back(g):
-            s = prob.data
-            return ((s - y) * (g / n),)
-
-        return _attach(out, "bce_logits", (logits,), back)
-
-    p = np.clip(prob.data, BCE_EPS, 1.0 - BCE_EPS)
-    out = Tensor((-(y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum() / n).astype(p.dtype))
+    softplus = np.maximum(z, 0) + np.log1p(np.exp(-np.abs(z)))
+    out = Tensor(((softplus - y * z).sum() / n).astype(z.dtype))
 
     def back(g):
-        inside = (prob.data > BCE_EPS) & (prob.data < 1.0 - BCE_EPS)
-        grad = (p - y) / (p * (1.0 - p)) * inside
-        return (grad * (g / n),)
+        return ((_sigmoid(z) - y) * (g / n),)
 
-    return _attach(out, "bce", (prob,), back)
+    return _attach(out, "bce", (logits,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -504,42 +483,7 @@ def conv2d(x, w, bias=None, stride=1, pad=0):
 
     Output spatial size is floor((H + 2*pad - kh)/stride) + 1 per axis.
     """
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d() needs 4-d input and kernel, got {x.shape}, {w.shape}")
-    n, cin, h, wd = x.shape
-    cout, cin_w, kh, kw = w.shape
-    if cin != cin_w:
-        raise ShapeError(f"conv2d() channel mismatch: input {cin}, kernel {cin_w}")
-    if stride < 1:
-        raise ShapeError("conv2d() stride must be >= 1")
-    if h + 2 * pad < kh or wd + 2 * pad < kw:
-        raise ShapeError(f"conv2d() kernel {kh}x{kw} exceeds padded input {h + 2 * pad}x{wd + 2 * pad}")
-    hout = (h + 2 * pad - kh) // stride + 1
-    wout = (wd + 2 * pad - kw) // stride + 1
-
-    xp = _pad2d(x.data, pad) if pad else x.data
-    cols = _im2col(xp, kh, kw, stride, hout, wout)
-    w2 = w.data.reshape(cout, -1)
-    out3 = np.matmul(w2, cols)  # [N, Cout, hout*wout]
-    if bias is not None:
-        out3 += bias.data[:, None]
-    out = Tensor(out3.reshape(n, cout, hout, wout))
-
-    def back(g):
-        g3 = g.reshape(n, cout, hout * wout)
-        gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape) if w.requires_grad else None
-        gx = None
-        if x.requires_grad:
-            gcols = np.matmul(w2.T, g3)
-            gxp = _col2im(gcols, n, cin, h + 2 * pad, wd + 2 * pad, kh, kw, stride, hout, wout)
-            gx = gxp[:, :, pad : pad + h, pad : pad + wd] if pad else gxp
-        if bias is not None:
-            gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
-            return gx, gw, gb
-        return gx, gw
-
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _attach(out, "conv2d", inputs, back)
+    return _conv("conv2d", x, w, bias, stride, pad)
 
 
 def conv_transpose2d(x, w, bias=None, stride=1, pad=0):
@@ -548,40 +492,65 @@ def conv_transpose2d(x, w, bias=None, stride=1, pad=0):
     Input is [N,Cin,H,W], kernel is [Cin,Cout,kh,kw]; output spatial size is
     (H - 1)*stride - 2*pad + kh per axis.
     """
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv_transpose2d() needs 4-d input and kernel, got {x.shape}, {w.shape}")
-    n, cin, h, wd = x.shape
-    cin_w, cout, kh, kw = w.shape
-    if cin != cin_w:
-        raise ShapeError(f"conv_transpose2d() channel mismatch: input {cin}, kernel {cin_w}")
-    if stride < 1:
-        raise ShapeError("conv_transpose2d() stride must be >= 1")
-    hout = (h - 1) * stride - 2 * pad + kh
-    wout = (wd - 1) * stride - 2 * pad + kw
-    if hout <= 0 or wout <= 0:
-        raise ShapeError(f"conv_transpose2d() output {hout}x{wout} is empty")
+    return _conv("conv_transpose2d", x, w, bias, stride, pad)
 
-    w2 = w.data.reshape(cin, cout * kh * kw)
-    x3 = x.data.reshape(n, cin, h * wd)
-    cols = np.matmul(w2.T, x3)  # [N, Cout*kh*kw, h*wd]
-    full = _col2im(cols, n, cout, hout + 2 * pad, wout + 2 * pad, kh, kw, stride, h, wd)
-    out_data = full[:, :, pad : pad + hout, pad : pad + wout] if pad else full
+
+def _conv(op, x, w, bias, stride, pad):
+    """The core of `conv2d` and `conv_transpose2d`, each the other's input
+    gradient (Dumoulin & Visin 2016, arXiv 1603.07285, section 4). The kernel
+    is read as [small, big, kh, kw] channels: `down` (pad, `_im2col`, GEMM)
+    takes a big-side image [N,big,hb,wb] to the small side [N,small,hs*ws],
+    and `up` (GEMM, `_col2im`, crop) is its adjoint. conv2d runs `down`
+    forward and `up` for its input gradient, conv_transpose2d the reverse.
+    The weight gradient is the small side times the big side's patches."""
+    if x.ndim != 4 or w.ndim != 4:
+        raise ShapeError(f"{op}() needs 4-d input and kernel, got {x.shape}, {w.shape}")
+    transposed = op == "conv_transpose2d"
+    n, cin, h, wd = x.shape
+    small, big, kh, kw = w.shape
+    if cin != (small if transposed else big):
+        raise ShapeError(f"{op}() channel mismatch: input {cin}, kernel {w.shape}")
+    if stride < 1:
+        raise ShapeError(f"{op}() stride must be >= 1")
+    if transposed:
+        (hs, ws), (hb, wb) = (h, wd), ((h - 1) * stride - 2 * pad + kh, (wd - 1) * stride - 2 * pad + kw)
+    else:
+        (hb, wb), (hs, ws) = (h, wd), ((h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1)
+    if min(hs, ws, hb, wb) < 1:
+        raise ShapeError(f"{op}() of {h}x{wd} by a {kh}x{kw} kernel at stride {stride}, pad {pad} is empty")
+    w2 = w.data.reshape(small, -1)
+
+    def down(big_img):
+        """(w2 @ patches, patches) of a big-side image."""
+        patches = _im2col(_pad2d(big_img, pad) if pad else big_img, kh, kw, stride, hs, ws)
+        return np.matmul(w2, patches), patches
+
+    def up(small3):
+        full = _col2im(np.matmul(w2.T, small3), n, big, hb + 2 * pad, wb + 2 * pad, kh, kw, stride, hs, ws)
+        return full[:, :, pad : pad + hb, pad : pad + wb] if pad else full
+
+    if transposed:
+        x3 = x.data.reshape(n, small, hs * ws)
+        out_data = up(x3)
+    else:
+        out3, x_patches = down(x.data)
+        out_data = out3.reshape(n, small, hs, ws)
     if bias is not None:
-        out_data = out_data + bias.data[None, :, None, None]
-    out = Tensor(np.ascontiguousarray(out_data))
+        out_data += bias.data[:, None, None]  # in place: `down` and `up` return fresh arrays
+    out = Tensor(out_data)
 
     def back(g):
-        gp = _pad2d(g, pad) if pad else g
-        gcols = _im2col(gp, kh, kw, stride, h, wd)
-        gx = np.matmul(w2, gcols).reshape(x.shape) if x.requires_grad else None
-        gw = np.matmul(x3, gcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape) if w.requires_grad else None
-        if bias is not None:
-            gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
-            return gx, gw, gb
-        return gx, gw
+        if transposed:
+            gx3, patches = down(g)
+            gx, small3 = gx3.reshape(x.shape), x3
+        else:
+            patches, small3 = x_patches, g.reshape(n, small, hs * ws)
+            gx = up(small3) if x.requires_grad else None
+        gw = np.matmul(small3, patches.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape) if w.requires_grad else None
+        gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
+        return (gx, gw) if bias is None else (gx, gw, gb)
 
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _attach(out, "conv_transpose2d", inputs, back)
+    return _attach(out, op, (x, w) if bias is None else (x, w, bias), back)
 
 
 def batchnorm2d(x, gamma, beta, running_mean, running_var, training, update_running=True):

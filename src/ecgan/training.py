@@ -503,8 +503,8 @@ def _feed(gan, dataset, hp, read_all):
     or more, unless a GAN step has been rebound on this module: a caller that
     rebinds one to watch it (as tracers and tests do) would see nothing of the
     calls made in a child. If `read_all()` says that the block has read every
-    item from a child, G's and D's final state, its return value, is loaded
-    back here.
+    item from a child, G and D are rebuilt here from their final state, its
+    return value.
     """
     minibatches = _minibatches(dataset, hp)
     if gan is None:
@@ -525,7 +525,7 @@ def _feed(gan, dataset, hp, read_all):
                     next(child)
                 except StopIteration as end:
                     for key, state in end.value.items():
-                        gan.nets[key].load_state(state)
+                        gan.nets[key] = build_network(gan.nets[key].spec, state)
 
 
 def train_job(dataset, runs, eval_dataset=None, on_epoch=None):

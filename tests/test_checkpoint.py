@@ -1,15 +1,22 @@
 """Checkpoint format: bit-exact round trips and malformed-file rejection."""
 
+import contextlib
+import io
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ecgan.checkpoint as C
 import ecgan.cli as cli
 from ecgan.errors import ContractError, FormatError
 from ecgan.networks import (
+    ROLES,
     NetworkSpec,
     build_network,
     latent,
@@ -315,3 +322,95 @@ def test_trailing_bytes(tmp_path):
     path.write_bytes(bytes(buf) + b"\x00\x00\x00")
     with pytest.raises(FormatError, match="3 trailing bytes"):
         C.load_checkpoint(path)
+
+
+EVAL_DATA = "synth:n_per_class=2,classes=3,size=16"
+
+
+def one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_deeply_nested_header_is_format_error(tmp_path, capsys):
+    # The JSON decoder's RecursionError escaped as a traceback with exit 1.
+    path = tmp_path / "nested.ckpt"
+    blob = b"[" * 100_000 + b"]" * 100_000
+    path.write_bytes(C.MAGIC + struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(FormatError, match="bad header") as exc:
+        C.load_checkpoint(path)
+    assert exc.value.offset == 16
+    assert cli.main(["eval", str(path), "--data", EVAL_DATA]) == 2
+    assert one_error_line(capsys.readouterr().err)
+
+
+def test_huge_spec_fails_at_the_first_mismatched_record(tmp_path, capsys):
+    # The network was drawn from the spec before its records were read, so
+    # this asked numpy for 4.55 PiB (a (64, 10**13) fc weight at width 8).
+    path, _ = good_bytes(tmp_path)
+    rewrite_header(path, _set_classifier_spec("num_classes", 10**13))
+    assert cli.main(["eval", str(path), "--data", EVAL_DATA]) == 2
+    assert capsys.readouterr().err == "error: parameter 'fc.w': saved shape (64, 3) != (64, 10000000000000)\n"
+
+
+SPEC_INTS = ("image_size", "channels", "num_classes", "base_width", "depth")
+ODD_INTS = st.sampled_from([-(2**63), -1, 0, 1, 2, 3, 8, 16, 64, 2**31, 2**63, 10**13, 10**30])
+
+
+@st.composite
+def header_edits(draw):
+    """One to three edits of a saved generator + classifier header, each
+    (component, field, value): a spec int set huge, zero or negative, the
+    spec's role or `conditional`, the component's mode, or the shape of one
+    of its records (the field is then the record's index)."""
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(["classifier", "generator"]))
+        field = draw(st.sampled_from([*SPEC_INTS, "role", "conditional", "mode", "record"]))
+        if field == "role":
+            value = draw(st.sampled_from([*ROLES, "painter"]))
+        elif field == "conditional":
+            value = draw(st.booleans())
+        elif field == "mode":
+            value = draw(st.sampled_from(["train", "eval", "test"]))
+        elif field == "record":
+            field = draw(st.integers(0, 100))
+            value = draw(st.lists(ODD_INTS, max_size=4))
+        else:
+            value = draw(ODD_INTS)
+        edits.append((key, field, value))
+    return edits
+
+
+def _apply(header, edits):
+    for key, field, value in edits:
+        component = header["components"][key]
+        if field == "mode":
+            component["mode"] = value
+        elif isinstance(field, int):
+            records = [r for r in header["records"] if r["name"].startswith(f"{key}/")]
+            records[field % len(records)]["shape"] = value
+        else:
+            component["spec"][field] = value
+    return header
+
+
+@pytest.fixture(scope="module")
+def saved_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("saved") / "good.ckpt"
+    C.save_checkpoint(path, tiny_nets())
+    return path.read_bytes()
+
+
+@given(header_edits())
+def test_mutated_header_gives_an_exit_code_and_at_most_one_error_line(saved_bytes, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.ckpt"
+        path.write_bytes(saved_bytes)
+        rewrite_header(path, lambda h: _apply(h, edits))
+        for argv in (["eval", str(path), "--data", EVAL_DATA],
+                     ["generate", str(path), "--n", "2", "--out", str(Path(tmp) / "g.pgm")]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            assert code in (0, 1, 2), (argv[0], code)
+            assert err.getvalue() == "" if code == 0 else one_error_line(err.getvalue()), (argv[0], err.getvalue())

@@ -128,6 +128,30 @@ def test_conv_transpose_is_adjoint_of_conv(rng, stride, pad, hin, k):
     assert rel_err(lhs, rhs) < 1e-12
 
 
+@pytest.mark.parametrize("stride,pad,k", [(2, 1, 4), (1, 1, 3)])
+def test_conv_input_gradients_are_each_others_forward(rng, stride, pad, k):
+    # conv2d's input gradient is conv_transpose2d of the upstream gradient with
+    # the same kernel, and the other way round, bit for bit in float32, at the
+    # lab's stride-2/pad-1 (DCGAN, k=4) and stride-1/pad-1 (residual, k=3) shapes.
+    def f32(a, grad=False):
+        return T.Tensor(a.astype(np.float32), requires_grad=grad)
+
+    w = f32(rng.normal(size=(5, 3, k, k)))
+    x = f32(rng.normal(size=(2, 3, 16, 16)), grad=True)
+    out = T.conv2d(x, w, stride=stride, pad=pad)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    gx = out.node.backward_fn(g)[0]
+    assert gx.shape == x.shape
+    np.testing.assert_array_equal(gx, T.conv_transpose2d(f32(g), w, stride=stride, pad=pad).data)
+
+    y = f32(rng.normal(size=out.shape), grad=True)
+    out_t = T.conv_transpose2d(y, w, stride=stride, pad=pad)
+    g_t = rng.normal(size=out_t.shape).astype(np.float32)
+    gy = out_t.node.backward_fn(g_t)[0]
+    assert gy.shape == y.shape
+    np.testing.assert_array_equal(gy, T.conv2d(f32(g_t), w, stride=stride, pad=pad).data)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("pad", [0, 1, 2])
 def test_pad2d_equals_np_pad(rng, pad, dtype):

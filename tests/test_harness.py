@@ -1077,14 +1077,34 @@ def test_cli_rejects_images_that_are_not_square(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("test, message", [
     ((16, 16, 3), "train has image_size=32 but test has image_size=16"),
-    ((32, 32, 2), "train has num_classes=3 but test has num_classes=2"),
+    ((32, 32, 4), "train has num_classes=3 but test has num_classes=4"),
 ], ids=["image_size", "num_classes"])
 def test_cli_rejects_splits_that_do_not_match(tmp_path, capsys, test, message):
     # 32-px train images with 16-px test images trained, and wrote a
-    # test_acc measured at 16 px.
+    # test_acc measured at 16 px. A test label (3) beyond the train split's
+    # classes (0-2) is refused.
     assert cli.main(["train", idx_config(tmp_path, (32, 32, 3), test)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_trains_on_a_test_split_that_lacks_the_highest_class(tmp_path, capsys):
+    # The class count was the largest label + 1 per split, so this valid test
+    # split of classes 0-1 was refused as "test has num_classes=2".
+    assert cli.main(["train", idx_config(tmp_path, (32, 32, 3), (32, 32, 2))]) == 0
+    assert capsys.readouterr().err == ""
+    (row,) = read_metrics(tmp_path / "out")
+    assert 0.0 <= float(row["test_acc"]) <= 1.0
+    assert json.loads((tmp_path / "out" / "run.json").read_text())["dataset"]["source"] == "idx"
+
+
+def test_cli_deeply_nested_config_is_one_error_line(tmp_path, capsys):
+    # The JSON decoder's RecursionError escaped as a traceback with exit 1.
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main(["train", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid JSON (maximum recursion depth") and err.count("\n") == 1
 
 
 USAGE_ERRORS = [ConfigError, ContractError, DataError, FormatError, InvalidLabelError, ShapeError, SpecError]

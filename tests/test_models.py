@@ -111,11 +111,16 @@ def test_generator_rejects_bad_latent():
 
 @pytest.mark.parametrize("size", [16, 32])
 def test_discriminator_output_is_probability(size):
+    # The output is the real logit: sigmoid of it is the probability.
     d = build("discriminator", size=size)
     x = Tensor(np.random.default_rng(0).uniform(-1, 1, (4, 1, size, size)).astype(np.float32))
     out = d(x)
     assert out.shape == (4, 1)
-    assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
+    p = T.sigmoid(out).data
+    assert np.all(p > 0.0) and np.all(p < 1.0)
+    d._params["final.w"].data[...] = 0.0
+    d._params["final.b"].data[...] = 2.5
+    assert np.array_equal(d(x).data, np.full((4, 1), 2.5, np.float32))
 
 
 def test_classifier_logit_shape():
@@ -127,9 +132,13 @@ def test_classifier_logit_shape():
 def test_shared_discriminator_two_heads():
     sd = build("shared_discriminator", k=4)
     x = Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 1, 32, 32)).astype(np.float32))
-    logits, prob = sd(x)
-    assert logits.shape == (3, 4) and prob.shape == (3, 1)
-    assert np.all(prob.data > 0) and np.all(prob.data < 1)
+    logits, real = sd(x)
+    assert logits.shape == (3, 4) and real.shape == (3, 1)
+    p = T.sigmoid(real).data
+    assert np.all(p > 0) and np.all(p < 1)
+    sd._params["head_d.w"].data[...] = 0.0
+    sd._params["head_d.b"].data[...] = -3.0
+    assert np.array_equal(sd(x)[1].data, np.full((3, 1), -3.0, np.float32))  # a logit, not sigmoid(-3)
     assert np.array_equal(sd.class_logits(x).data.shape, (3, 4))
 
 
@@ -267,22 +276,23 @@ def test_parameter_names_unique_and_ordered():
 
 
 def test_state_round_trip_and_errors():
-    a, b = build("generator", seed=1), build("generator", seed=2)
-    b.load_state(a.state())
+    a = build("generator", seed=1)
+    b = N.build_network(a.spec, a.state())
+    assert [n for n, _ in b.parameters()] == [n for n, _ in a.parameters()]
     for (_, t1), (_, t2) in zip(a.parameters(), b.parameters()):
-        assert np.array_equal(t1.data, t2.data)
+        assert np.array_equal(t1.data, t2.data) and t1.requires_grad == t2.requires_grad
     st = a.state()
     st.pop("final.b")
-    with pytest.raises(ContractError):
-        b.load_state(st)
+    with pytest.raises(ContractError, match="no saved parameter 'final.b'"):
+        N.build_network(a.spec, st)
     st = a.state()
     st["bogus"] = np.zeros(1)
-    with pytest.raises(ContractError):
-        b.load_state(st)
+    with pytest.raises(ContractError, match="bogus"):
+        N.build_network(a.spec, st)
     st = a.state()
     st["final.b"] = np.zeros(7)
-    with pytest.raises(ShapeError):
-        b.load_state(st)
+    with pytest.raises(ShapeError, match=r"'final.b': saved shape \(7,\) != \(1,\)"):
+        N.build_network(a.spec, st)
 
 
 def test_train_eval_mode():
