@@ -8,7 +8,8 @@
 Seed precedence: --seed flag, then the ECGAN_SEED environment variable,
 then the config file (or the generate default of 0). Errors print one
 `error: ...` line on stderr and exit nonzero: 2 for a `UsageError` (bad
-configs, data or files), 1 for runtime failures such as divergence.
+configs, data or files), 1 for runtime failures such as divergence or
+running out of memory.
 
 OpenBLAS runs every GEMM on the calling thread (`processes.one_blas_thread`).
 """
@@ -95,6 +96,9 @@ def main(argv=None):
         return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
 
 

@@ -325,8 +325,8 @@ def synth_shapes(n_per_class, num_classes, size, noise_sigma=NOISE_SIGMA, seed=0
         ang = np.pi / 2.0 + 2.0 * np.pi * k / num_classes
         ax, ay = ANCHOR_RADIUS * np.cos(ang), ANCHOR_RADIUS * np.sin(ang)
         for _ in range(n_per_class):
-            cx = float(np.clip(ax + rng.normal(scale=POSITION_SPREAD), -POSITION_CLIP, POSITION_CLIP))
-            cy = float(np.clip(ay + rng.normal(scale=POSITION_SPREAD), -POSITION_CLIP, POSITION_CLIP))
+            cx = float(min(max(ax + rng.normal(scale=POSITION_SPREAD), -POSITION_CLIP), POSITION_CLIP))
+            cy = float(min(max(ay + rng.normal(scale=POSITION_SPREAD), -POSITION_CLIP), POSITION_CLIP))
             mask = _render_shape(kind, cx, cy, xs, ys, rng, size)
             bg = float(rng.uniform(*BG_RANGE))
             fg = float(rng.uniform(*FG_RANGE))

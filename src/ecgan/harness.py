@@ -48,6 +48,14 @@ def fmt(x):
     return f"{x:.6f}"
 
 
+def _take_classes(dataset, num_classes):
+    """Give `dataset` the class count `num_classes` when its labels all fall
+    below it: a set may lack the highest classes. A set with a label beyond
+    them keeps its larger count, for `require_same_shape` to refuse."""
+    dataset.num_classes = max(dataset.num_classes, num_classes)
+    return dataset
+
+
 def load_datasets(dataset_cfg):
     """(train, test) datasets for a config's dataset block. Synth draws the
     test split from the data seed after the training split's. The train split
@@ -57,9 +65,7 @@ def load_datasets(dataset_cfg):
     if source == "synth":
         test_spec["seed"] += 1
     train_ds = load_source(source, train_spec)
-    test_ds = load_source(source, test_spec)
-    if test_ds.num_classes < train_ds.num_classes:  # a test split may lack the highest classes
-        test_ds.num_classes = train_ds.num_classes
+    test_ds = _take_classes(load_source(source, test_spec), train_ds.num_classes)
     require_same_shape(train_ds, test_ds, DataError, "train has {what}={a} but test has {what}={b}")
     return train_ds, test_ds
 
@@ -411,10 +417,11 @@ def parse_data_spec(spec_text):
 
 
 def cmd_eval(ckpt_path, data_spec):
-    """Print `accuracy=<4 decimals>` for a checkpointed classifier."""
+    """Print `accuracy=<4 decimals>` for a checkpointed classifier. The set
+    takes the classifier's class count when its labels all fall inside it."""
     ck = load_checkpoint(ckpt_path)
     net = ck.build(ck.component_for_role("classifier", "shared_discriminator")).eval()
-    dataset = parse_data_spec(data_spec)
+    dataset = _take_classes(parse_data_spec(data_spec), net.spec.num_classes)
     require_same_shape(dataset, net.spec, ContractError, "dataset has {what}={a}, classifier expects {what}={b}")
     acc = evaluate(net, dataset)
     print(f"accuracy={acc:.4f}")

@@ -14,6 +14,12 @@ they accumulate additively into `Tensor.grad` until the owner zeroes them.
 A node holds its inputs and never its output, so a graph has no reference
 cycle: it is freed by reference counting as soon as its last output goes.
 
+Convolutions lower to one batched GEMM per direction over a patch matrix
+(`_conv`). Where the input is exactly `stride` times the output, the
+patches are copied in whole-plane runs out of flat phase planes; the
+GEMMs see the same operands either way. Batch norm takes its means as
+`np.add.reduce` sums over the count, which is what `ndarray.mean` computes.
+
 Tensors and graphs are confined to a single execution context; nothing in
 here is safe to share across concurrent training runs.
 """
@@ -21,6 +27,7 @@ here is safe to share across concurrent training runs.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 
 import numpy as np
@@ -478,6 +485,75 @@ def _col2im(cols, n, c, hp, wp, kh, kw, stride, hout, wout):
     return xp
 
 
+@functools.lru_cache(maxsize=None)
+def _flat_plan(kh, kw, stride, pad, wout):
+    """The flat layout of a kh x kw conv at `stride` and `pad` with outputs
+    `wout` wide: (margin, phases, wrapped). Per axis, output o's tap i reads
+    input index stride*o + i - pad = stride*(o + shift) + phase, and `rows`
+    and `cols` hold each tap's (shift, phase). `margin` is the zero run on
+    both sides of a phase plane. `phases` holds, per phase pair that some tap
+    reads, (row phase, column phase, tap-row slice, tap-column slice, their
+    lengths, flat offset of the first tap); the taps of one phase pair step
+    their offset by wout per row and 1 per column. `wrapped` holds
+    (tap column, output columns) whose runs cross a row end."""
+    rows = [divmod(i - pad, stride) for i in range(kh)]
+    cols = [divmod(j - pad, stride) for j in range(kw)]
+    margin = max(abs(q) for q, _ in rows) * wout + max(abs(q) for q, _ in cols)
+    phases = []
+    for ri in range(stride):
+        for rj in range(stride):
+            ii = [i for i, (_, r) in enumerate(rows) if r == ri]
+            jj = [j for j, (_, r) in enumerate(cols) if r == rj]
+            if ii and jj:
+                taps = slice(ii[0], None, stride), slice(jj[0], None, stride), len(ii), len(jj)
+                phases.append((ri, rj, *taps, rows[ii[0]][0] * wout + cols[jj[0]][0]))
+    wrapped = [(j, slice(max(wout - q, 0), None) if q > 0 else slice(None, -q)) for j, (q, _) in enumerate(cols) if q]
+    return margin, phases, wrapped
+
+
+def _zero_wrapped(cols, wrapped, hout, wout):
+    """Zero, in place, the `wrapped` entries of (N, C, kh, kw, hout*wout) patches."""
+    cols6 = cols.reshape(cols.shape[:4] + (hout, wout))
+    for j, columns in wrapped:
+        cols6[:, :, :, j, :, columns] = 0
+    return cols
+
+
+def _flat_im2col(x, kh, kw, stride, pad, hout, wout):
+    """`_im2col(_pad2d(x, pad), ...)`, bit for bit, for an [N,C,H,W] input of
+    exactly `stride` times the output per axis, copied in contiguous runs
+    out of flat phase planes (see `_conv`)."""
+    n, c = x.shape[:2]
+    hw = hout * wout
+    margin, phases, wrapped = _flat_plan(kh, kw, stride, pad, wout)
+    span = hw + 2 * margin
+    planes = np.zeros((n, c, stride, stride, span), dtype=x.dtype)
+    planes[..., margin : margin + hw].reshape(n, c, stride, stride, hout, wout)[...] = x.reshape(
+        n, c, hout, stride, wout, stride
+    ).transpose(0, 1, 3, 5, 2, 4)
+    cols = np.empty((n, c, kh, kw, hw), dtype=x.dtype)
+    e = planes.itemsize
+    strides = planes.strides[:2] + (wout * e, e, e)  # a tap row steps one output row, a tap column one pixel
+    for ri, rj, tap_rows, tap_cols, n_rows, n_cols, offset in phases:
+        start = ((ri * stride + rj) * span + margin + offset) * e
+        cols[:, :, tap_rows, tap_cols] = np.ndarray((n, c, n_rows, n_cols, hw), x.dtype, planes, start, strides)
+    return _zero_wrapped(cols, wrapped, hout, wout).reshape(n, c * kh * kw, hw)
+
+
+def _flat_col2im(cols, n, c, kh, kw, pad, h, w):
+    """`_col2im` of stride-1 patches, cropped by `pad` to [N,C,h,w], bit for
+    bit. `cols` must be a fresh array: its wrapped entries are zeroed in place."""
+    hw = h * w
+    margin, _, wrapped = _flat_plan(kh, kw, 1, pad, w)
+    cols = _zero_wrapped(cols.reshape(n, c, kh, kw, hw), wrapped, h, w)
+    acc = np.zeros((n, c, hw + 2 * margin), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            start = margin + (i - pad) * w + j - pad
+            acc[:, :, start : start + hw] += cols[:, :, i, j]
+    return acc[:, :, margin : margin + hw].reshape(n, c, h, w)
+
+
 def conv2d(x, w, bias=None, stride=1, pad=0):
     """Cross-correlation of [N,Cin,H,W] with [Cout,Cin,kh,kw], zero padding.
 
@@ -502,7 +578,28 @@ def _conv(op, x, w, bias, stride, pad):
     takes a big-side image [N,big,hb,wb] to the small side [N,small,hs*ws],
     and `up` (GEMM, `_col2im`, crop) is its adjoint. conv2d runs `down`
     forward and `up` for its input gradient, conv_transpose2d the reverse.
-    The weight gradient is the small side times the big side's patches."""
+    The weight gradient is the small side times the big side's patches.
+
+    When the kernel is larger than 1x1 and the big side is exactly `stride`
+    times the small side per axis (every 3x3 and 4x4 conv of the networks
+    but the 4x4 full-window heads), the patches are copied in contiguous
+    runs instead of `hs` rows of `ws` (im2col unrolling, Chellapilla et al.
+    2006). The image is laid out once as stride**2 flat phase planes per
+    (sample, channel), plane (a, b) holding pixels [stride*r + a, stride*c + b],
+    each plane with a zero margin on both sides. Tap (i, j) then reads plane
+    ((i - pad) mod stride, (j - pad) mod stride) from flat offset
+    qi*ws + qj, with qi = floor((i - pad) / stride) and qj likewise: one run
+    of hs*ws per plane, whose rows shifted out of the image land in the
+    margin. A column shift qj != 0 wraps into the next or previous row
+    instead; those entries, the last qj output columns (qj > 0) or the first
+    -qj (qj < 0), are zeroed after the copy. The patches equal
+    `_im2col(_pad2d(...))` bit for bit. At stride 1 `up` scatters the same
+    way: it zeroes the wrapped entries of the fresh GEMM output, adds each
+    tap's run into a flat buffer with margins in (i, j) order, and slices
+    the margins away, so each pixel sums the same terms in the same order
+    plus exact +0.0s onto a +0.0 start. The 1x1 projections, the heads and
+    other shapes take `_pad2d` and `_im2col`, and every stride-2 `up` takes
+    `_col2im`, which measured faster than a phase split there."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"{op}() needs 4-d input and kernel, got {x.shape}, {w.shape}")
     transposed = op == "conv_transpose2d"
@@ -519,14 +616,21 @@ def _conv(op, x, w, bias, stride, pad):
     if min(hs, ws, hb, wb) < 1:
         raise ShapeError(f"{op}() of {h}x{wd} by a {kh}x{kw} kernel at stride {stride}, pad {pad} is empty")
     w2 = w.data.reshape(small, -1)
+    flat = n > 0 and min(kh, kw) > 1 and (hb, wb) == (stride * hs, stride * ws)  # an empty batch has no planes to view
 
     def down(big_img):
         """(w2 @ patches, patches) of a big-side image."""
-        patches = _im2col(_pad2d(big_img, pad) if pad else big_img, kh, kw, stride, hs, ws)
+        if flat:
+            patches = _flat_im2col(big_img, kh, kw, stride, pad, hs, ws)
+        else:
+            patches = _im2col(_pad2d(big_img, pad) if pad else big_img, kh, kw, stride, hs, ws)
         return np.matmul(w2, patches), patches
 
     def up(small3):
-        full = _col2im(np.matmul(w2.T, small3), n, big, hb + 2 * pad, wb + 2 * pad, kh, kw, stride, hs, ws)
+        cols = np.matmul(w2.T, small3)
+        if flat and stride == 1:
+            return _flat_col2im(cols, n, big, kh, kw, pad, hb, wb)
+        full = _col2im(cols, n, big, hb + 2 * pad, wb + 2 * pad, kh, kw, stride, hs, ws)
         return full[:, :, pad : pad + hb, pad : pad + wb] if pad else full
 
     if transposed:
@@ -577,9 +681,9 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, update_runn
     if training:
         if count < 1:
             raise ShapeError("batchnorm2d() needs at least one element per channel in train mode")
-        mu = x.data.mean(axis=axes)
+        mu = np.add.reduce(x.data, axis=axes) / count
         d = x.data - mu[None, :, None, None]
-        var = (d * d).sum(axis=axes) / count
+        var = np.add.reduce(np.square(d), axis=axes) / count
         if update_running:
             bump = var * (count / (count - 1)) if count > 1 else var
             running_mean.data[:] = (1.0 - BN_MOMENTUM) * running_mean.data + BN_MOMENTUM * mu
@@ -590,7 +694,9 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, update_runn
 
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = d * inv[None, :, None, None]
-    out = Tensor(gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None])
+    out_data = xhat * gamma.data[None, :, None, None]
+    out_data += beta.data[None, :, None, None]
+    out = Tensor(out_data)
 
     def back(g):
         ggamma = (g * xhat).sum(axis=axes) if gamma.requires_grad else None
@@ -599,11 +705,11 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, update_runn
         if x.requires_grad:
             dxhat = g * gamma.data[None, :, None, None]
             if training:
-                m1 = dxhat.mean(axis=axes)
-                m2 = (dxhat * xhat).mean(axis=axes)
-                gx = inv[None, :, None, None] * (
-                    dxhat - m1[None, :, None, None] - xhat * m2[None, :, None, None]
-                )
+                m1 = np.add.reduce(dxhat, axis=axes) / count
+                m2 = np.add.reduce(dxhat * xhat, axis=axes) / count
+                gx = dxhat - m1[None, :, None, None]
+                gx -= xhat * m2[None, :, None, None]
+                gx *= inv[None, :, None, None]
             else:
                 gx = dxhat * inv[None, :, None, None]
             gx = gx.astype(x.data.dtype, copy=False)

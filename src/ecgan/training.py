@@ -292,10 +292,11 @@ def evaluate(net, dataset):
     is counted in a `ChildStream` child that sends back its count. In eval
     mode a sample's logits do not depend on the chunk it is in, so the result
     is exact whatever the core count. 16 images is the fastest chunk
-    measured: 500 images on one core took 342 / 265 / 344 / 604 ms at
-    chunks of 4 / 16 / 64 / 500. Eval mode folds each batch norm into the
-    conv before it (`networks._conv_bn`); with the fold, chunks of 32 timed
-    no better than 16 (3000 images on 2 cores: 0.74 against 0.65 s).
+    measured, with each batch norm folded into the conv before it
+    (`networks._conv_bn`) and the patches copied in contiguous runs
+    (`tensor._conv`): 501 images of 32 px on one core took
+    183 / 167 / 229 / 412 ms at chunks of 4 / 16 / 64 / 501, and 3000
+    images on 2 cores 0.63 s at 16 against 0.74 s at 32 (best of 5).
     """
     if len(dataset) == 0:
         raise ContractError("cannot evaluate on an empty dataset")

@@ -6,6 +6,8 @@ the transposed convolution against the adjoint identity
 against central differences.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,146 @@ def test_conv_transpose_shape_errors():
 
 
 # ---------------------------------------------------------------------------
+# the flat patch layout of `_conv`
+
+
+@pytest.fixture(scope="module")
+def network_conv_shapes():
+    """(op, input shape without the batch, kernel shape, stride, pad) of every
+    conv the four networks run, conditional or not, at image sizes 16 and 32
+    and 1 and 3 channels."""
+    from ecgan import networks as N
+
+    shapes = set()
+    conv = T._conv
+
+    def record(op, x, w, bias, stride, pad):
+        shapes.add((op, x.shape[1:], w.shape, stride, pad))
+        return conv(op, x, w, bias, stride, pad)
+
+    T._conv = record
+    try:
+        with T.precision(np.float32), T.no_grad():
+            for size, channels, role in itertools.product((16, 32), (1, 3), N.ROLES):
+                for cond in (False, True) if role in ("generator", "discriminator") else (False,):
+                    spec = N.NetworkSpec(role=role, image_size=size, channels=channels, num_classes=3,
+                                         base_width=8, conditional=cond)
+                    net = N.build_network(spec, T.Rng(0, "init")).train()
+                    if role == "generator":
+                        net(N.draw_latent(2, 3, cond, T.Rng(1, "z")))
+                    else:
+                        x = T.Tensor(np.zeros((2, channels, size, size), np.float32))
+                        net(x, labels=np.zeros(2, np.int64)) if cond else net(x)
+    finally:
+        T._conv = conv
+    return sorted(shapes)
+
+
+def big_and_small(op, in_shape, kernel, stride, pad):
+    """(big-side [C,H,W], small-side [C,H,W]) of a conv: the image and its
+    output for conv2d, the other way round for conv_transpose2d."""
+    c, h, w = in_shape
+    small, big, kh, kw = kernel
+    if op == "conv2d":
+        return (big, h, w), (small, (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1)
+    return (big, (h - 1) * stride - 2 * pad + kh, (w - 1) * stride - 2 * pad + kw), (small, h, w)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def test_every_network_conv_shape_is_seen(network_conv_shapes):
+    ops = {(op, kernel[2:], stride) for op, _, kernel, stride, _ in network_conv_shapes}
+    assert ops == {
+        ("conv2d", (3, 3), 1), ("conv2d", (3, 3), 2), ("conv2d", (1, 1), 2), ("conv2d", (4, 4), 2),
+        ("conv2d", (4, 4), 1), ("conv_transpose2d", (4, 4), 2),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_flat_patches_equal_im2col_on_every_network_shape(rng, network_conv_shapes, n):
+    # The gather must equal `_im2col(_pad2d(x))` bit for bit wherever `_conv`
+    # takes it, and the stride-1 scatter `_col2im` plus the crop, so that
+    # every GEMM reads the same operands. Float32, as the networks run.
+    flat = 0
+    for op, in_shape, kernel, stride, pad in network_conv_shapes:
+        (big, hb, wb), (_, hs, ws) = big_and_small(op, in_shape, kernel, stride, pad)
+        kh, kw = kernel[2:]
+        if min(kh, kw) == 1 or (hb, wb) != (stride * hs, stride * ws):
+            continue
+        flat += 1
+        x = rng.normal(size=(n, big, hb, wb)).astype(np.float32)
+        want = T._im2col(T._pad2d(x, pad), kh, kw, stride, hs, ws)
+        got = T._flat_im2col(x, kh, kw, stride, pad, hs, ws)
+        assert got.shape == want.shape and got.dtype == want.dtype and got.flags.c_contiguous
+        assert bits(got) == bits(want), (op, in_shape, kernel)
+        if stride == 1:
+            cols = rng.normal(size=want.shape).astype(np.float32)
+            full = T._col2im(cols, n, big, hb + 2 * pad, wb + 2 * pad, kh, kw, 1, hs, ws)
+            got = T._flat_col2im(cols.copy(), n, big, kh, kw, pad, hb, wb)
+            assert got.shape == (n, big, hb, wb)
+            assert bits(got) == bits(full[:, :, pad : pad + hb, pad : pad + wb]), (op, in_shape, kernel)
+    assert flat == 34
+
+
+@pytest.mark.parametrize("stride,k", [(1, 3), (2, 4)])
+def test_flat_patches_zero_the_entries_that_wrap_a_row(rng, monkeypatch, stride, k):
+    # An image of ones: a tap one column left of output column 0 reads the
+    # zero padding, but its flat run reads the last pixel of the row above.
+    x = np.ones((2, 3, 4 * stride, 4 * stride))
+    want = T._im2col(T._pad2d(x, 1), k, k, stride, 4, 4)
+    assert bits(T._flat_im2col(x, k, k, stride, 1, 4, 4)) == bits(want)
+    cols = rng.normal(size=(2, 3 * k * k, 16))
+    scattered = T._flat_col2im(cols.copy(), 2, 3, k, k, 1, 4, 4) if stride == 1 else None
+    monkeypatch.setattr(T, "_zero_wrapped", lambda cols, *args: cols)
+    assert bits(T._flat_im2col(x, k, k, stride, 1, 4, 4)) != bits(want)
+    if stride == 1:
+        assert bits(T._flat_col2im(cols.copy(), 2, 3, k, k, 1, 4, 4)) != bits(scattered)
+
+
+def _no_flat(*args):
+    raise AssertionError("this shape must take `_im2col` and `_col2im`")
+
+
+@pytest.mark.parametrize("op, h, k, stride, pad", [
+    ("conv2d", 9, 5, 2, 2),  # 9 is not twice the 5-wide output
+    ("conv2d", 4, 4, 1, 0),  # the discriminator's full-window head
+    ("conv2d", 8, 1, 2, 0),  # the residual blocks' 1x1 projection
+    ("conv_transpose2d", 5, 5, 2, 2),  # the adjoint of the first
+])
+def test_other_shapes_fall_back_to_im2col(rng, monkeypatch, op, h, k, stride, pad):
+    monkeypatch.setattr(T, "_flat_im2col", _no_flat)
+    monkeypatch.setattr(T, "_flat_col2im", _no_flat)
+    x = t(rng.normal(size=(2, 3, h, h)))
+    w = t(rng.normal(size=(4, 3, k, k) if op == "conv2d" else (3, 4, k, k)))
+    out = getattr(T, op)(x, w, stride=stride, pad=pad)
+    if op == "conv2d":
+        assert np.abs(out.data - conv_reference(x.data, w.data, None, stride, pad)).max() < 1e-12
+    T.backward(T.sum_all(out))
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+def test_empty_batch_conv_has_empty_output_and_gradients(rng):
+    x = t(np.zeros((0, 3, 8, 8)))
+    w = t(rng.normal(size=(4, 3, 3, 3)))
+    out = T.conv2d(x, w, pad=1)
+    T.backward(T.sum_all(out))
+    assert out.shape == (0, 4, 8, 8) and x.grad.shape == x.shape
+    assert np.array_equal(w.grad, np.zeros(w.shape))
+
+
+def test_stride_two_scatter_keeps_col2im(rng, monkeypatch):
+    # A stride-2 conv gathers from phase planes, but its input gradient
+    # scatters through `_col2im`.
+    monkeypatch.setattr(T, "_flat_col2im", _no_flat)
+    x = t(rng.normal(size=(2, 3, 8, 8)))
+    out = T.conv2d(x, t(rng.normal(size=(4, 3, 4, 4))), stride=2, pad=1)
+    T.backward(T.sum_all(out))
+    assert out.shape == (2, 4, 4, 4) and x.grad.shape == x.shape
+
+
+# ---------------------------------------------------------------------------
 # batchnorm2d
 
 
@@ -321,3 +463,40 @@ def test_batchnorm_contract_errors(rng):
         T.batchnorm2d(x, gamma, beta, bad_mean, rvar, training=True)
     with pytest.raises(ShapeError):
         T.batchnorm2d(T.Tensor(np.zeros((2, 3, 4))), gamma, beta, rmean, rvar, training=True)
+
+
+def bn_train_reference(x, gamma, beta, g):
+    """Train-mode batch norm's output, gradients and batch statistics, by
+    the formulas the op used before its means were `np.add.reduce` sums."""
+    axes = (0, 2, 3)
+    count = x.shape[0] * x.shape[2] * x.shape[3]
+    mu = x.mean(axis=axes)
+    d = x - mu[None, :, None, None]
+    var = (d * d).sum(axis=axes) / count
+    inv = 1.0 / np.sqrt(var + T.BN_EPS)
+    xhat = d * inv[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    dxhat = g * gamma[None, :, None, None]
+    m1 = dxhat.mean(axis=axes)
+    m2 = (dxhat * xhat).mean(axis=axes)
+    gx = inv[None, :, None, None] * (dxhat - m1[None, :, None, None] - xhat * m2[None, :, None, None])
+    return out, gx, (g * xhat).sum(axis=axes), g.sum(axis=axes), mu, var
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(4, 8, 32, 32), (16, 64, 4, 4), (3, 5, 7, 2), (1, 2, 1, 1)])
+def test_batchnorm_train_equals_its_formulas_bit_for_bit(rng, monkeypatch, shape, dtype):
+    monkeypatch.setattr(T, "BN_MOMENTUM", 1.0)
+    c = shape[1]
+    x = rng.normal(loc=1.0, scale=2.0, size=shape).astype(dtype)
+    gamma, beta = rng.uniform(0.5, 1.5, c).astype(dtype), rng.normal(size=c).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    tx, tgamma, tbeta = (T.Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+    rmean, rvar = T.Tensor(np.zeros(c, dtype)), T.Tensor(np.zeros(c, dtype))
+    out = T.batchnorm2d(tx, tgamma, tbeta, rmean, rvar, training=True)
+    got = (out.data, *out.node.backward_fn(g), rmean.data)
+    want = bn_train_reference(x, gamma, beta, g)
+    for a, b in zip(got, want):
+        assert a.dtype == dtype and bits(a) == bits(b)
+    count = shape[0] * shape[2] * shape[3]
+    assert bits(rvar.data) == bits(want[5] * (count / (count - 1)) if count > 1 else want[5])

@@ -1,5 +1,6 @@
 """Dataset containers, IDX/image-dir loading, synthetic shapes, transforms."""
 
+import hashlib
 import os
 import struct
 import subprocess
@@ -255,6 +256,17 @@ def test_synth_shapes_deterministic():
     np.testing.assert_array_equal(a.images, b.images)
     c = synth_shapes(4, 2, 16, seed=8)
     assert not np.array_equal(a.images, c.images)
+
+
+def test_synth_shapes_bytes_are_pinned():
+    # 100 images whose jittered centers are clipped on both sides (7 below
+    # -POSITION_CLIP, 10 above); the digests were taken when the clip was
+    # `np.clip`, so a change to the corpus shows here.
+    ds = synth_shapes(20, 5, 16, seed=7)
+    assert hashlib.sha256(ds.images.tobytes()).hexdigest() == (
+        "06397fe915d00e77990ad409db82fd671d6e739090a5978c40ffead278f20076")
+    assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == (
+        "1ee3f235dd345dfda333a9d9df44102a57d62fa39a1773559796fc68e7383604")
 
 
 def test_synth_shapes_noise_free_is_two_tone():

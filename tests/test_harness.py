@@ -772,11 +772,12 @@ def test_eval_accepts_shared_head(tmp_path, capsys):
 
 
 def test_eval_class_count_mismatch(tmp_path):
+    # A set of 4 classes has a label the 3-class classifier does not know.
     cls = build_network(NetworkSpec(role="classifier", depth=1, **SPEC16), Rng(0, "init/c"))
     path = tmp_path / "cls.ckpt"
     save_checkpoint(path, {"classifier": cls})
-    with pytest.raises(ContractError, match="classes"):
-        H.cmd_eval(str(path), "synth:n_per_class=4,classes=2,size=16,seed=2")
+    with pytest.raises(ContractError, match="dataset has num_classes=4, classifier expects num_classes=3"):
+        H.cmd_eval(str(path), "synth:n_per_class=4,classes=4,size=16,seed=2")
 
 
 @pytest.mark.parametrize("key, role, spec_size, data", [
@@ -1096,6 +1097,36 @@ def test_cli_trains_on_a_test_split_that_lacks_the_highest_class(tmp_path, capsy
     (row,) = read_metrics(tmp_path / "out")
     assert 0.0 <= float(row["test_acc"]) <= 1.0
     assert json.loads((tmp_path / "out" / "run.json").read_text())["dataset"]["source"] == "idx"
+
+
+@pytest.mark.parametrize("classes, err", [
+    (2, ""),
+    (4, "error: dataset has num_classes=4, classifier expects num_classes=3\n"),
+], ids=["lacks_the_highest", "label_beyond"])
+def test_cli_eval_takes_the_classifier_class_count(tmp_path, capsys, classes, err):
+    # The class count was the largest label + 1, so eval refused a valid set
+    # of labels 0-1 against a 3-class classifier as "num_classes=2".
+    images, labels = write_idx_split(tmp_path, "test", 16, 16, classes=classes)
+    ckpt = tmp_path / "c.ckpt"
+    spec = NetworkSpec(role="classifier", image_size=16, channels=1, num_classes=3, base_width=8)
+    save_checkpoint(ckpt, {"classifier": build_network(spec, Rng(0, "init"))})
+    assert cli.main(["eval", str(ckpt), "--data", f"idx:images={images},labels={labels}"]) == (2 if err else 0)
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if not err:
+        assert captured.out.startswith("accuracy=") and captured.out.count("\n") == 1
+
+
+def test_cli_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    # `generate --n 1000000000000` asked numpy for the whole latent batch and
+    # ended in a MemoryError traceback. The error is raised here, not
+    # allocated: overcommit can turn a huge allocation into an OOM kill.
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 728. TiB for an array")
+
+    monkeypatch.setattr(H, "cmd_generate", fail)
+    assert cli.main(["generate", "g.ckpt", "--n", "1000000000000", "--out", "g.pgm"]) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 728. TiB for an array\n"
 
 
 def test_cli_deeply_nested_config_is_one_error_line(tmp_path, capsys):
