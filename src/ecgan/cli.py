@@ -9,7 +9,9 @@ Seed precedence: --seed flag, then the ECGAN_SEED environment variable,
 then the config file (or the generate default of 0). Errors print one
 `error: ...` line on stderr and exit nonzero: 2 for a `UsageError` (bad
 configs, data or files), 1 for runtime failures such as divergence or
-running out of memory.
+running out of memory. Commands run with numpy raising FloatingPointError
+on overflow, invalid operations and division by zero, which training turns
+into the divergence of the half that raised it.
 
 OpenBLAS runs every GEMM on the calling thread (`processes.one_blas_thread`).
 """
@@ -19,6 +21,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+import numpy as np
 
 from . import harness
 from .errors import ConfigError, ContractError, TrainingDiverged, UsageError
@@ -75,19 +79,20 @@ def main(argv=None):
     args = parser.parse_args(argv)
     one_blas_thread()
     try:
-        if args.command == "train":
-            return harness.cmd_train(args.config, seed_override=_resolve_seed(args.seed))
-        if args.command == "sweep":
-            return harness.cmd_sweep(args.config, args.axis, seed_override=_resolve_seed(args.seed))
-        if args.command == "generate":
-            seed = _resolve_seed(args.seed)
-            return harness.cmd_generate(
-                args.checkpoint, args.n, args.out,
-                class_idx=args.class_idx, seed=0 if seed is None else seed,
-            )
-        if args.command == "eval":
-            return harness.cmd_eval(args.checkpoint, args.data)
-        raise ContractError(f"unknown command {args.command!r}")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.command == "train":
+                return harness.cmd_train(args.config, seed_override=_resolve_seed(args.seed))
+            if args.command == "sweep":
+                return harness.cmd_sweep(args.config, args.axis, seed_override=_resolve_seed(args.seed))
+            if args.command == "generate":
+                seed = _resolve_seed(args.seed)
+                return harness.cmd_generate(
+                    args.checkpoint, args.n, args.out,
+                    class_idx=args.class_idx, seed=0 if seed is None else seed,
+                )
+            if args.command == "eval":
+                return harness.cmd_eval(args.checkpoint, args.data)
+            raise ContractError(f"unknown command {args.command!r}")
     except TrainingDiverged as e:
         print(f"error: training diverged: {e}", file=sys.stderr)
         return 1
@@ -99,6 +104,9 @@ def main(argv=None):
         return 1
     except MemoryError as e:
         print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
+    except FloatingPointError as e:
+        print(f"error: arithmetic left the finite floats: {e}", file=sys.stderr)
         return 1
 
 

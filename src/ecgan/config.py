@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .data import SOURCES, value_type
 from .errors import ConfigError, unique_keys
+from .tensor import MAX_SEED
 from .training import VARIANTS, HyperParams
 
 # A dataset block holds the data specs (`data.SOURCES`) of both splits. A
@@ -107,8 +108,8 @@ class ExperimentConfig:
             if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v < math.inf:
                 raise ConfigError(f"lambdas entries must be finite and >= 0, got {v!r}")
         for s in self.seeds:
-            if not isinstance(s, int) or isinstance(s, bool):
-                raise ConfigError(f"seeds entries must be integers, got {s!r}")
+            if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s <= MAX_SEED:
+                raise ConfigError(f"seeds entries must be integers in [0, 2**53], got {s!r}")
         # Run ids and summary labels print percents and lambdas with :g, seeds whole.
         for key, label in (("dataset_percent", "{:g}"), ("lambdas", "{:g}"), ("seeds", "{}")):
             labels = [label.format(x) for x in getattr(self, key)]
@@ -138,18 +139,31 @@ class ExperimentConfig:
 _TOP_KEYS = asdict(ExperimentConfig())
 
 
-def load_config(path):
-    """Parse and validate a JSON experiment config."""
+def _parse_int(text):
+    """A JSON integer; one too large for a float is a ConfigError, as every
+    number here is a float setting or a count or seed far below 2**1024."""
+    if math.isinf(float(text)):
+        raise ConfigError(f"integer of {len(text)} digits is out of range")
+    return int(text)
+
+
+def load_config(path, seed=None):
+    """Parse and validate a JSON experiment config; `seed`, when given,
+    replaces its seeds."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path) as f:
         try:
-            doc = json.load(f, object_pairs_hook=functools.partial(unique_keys, error=ConfigError))
+            doc = json.load(
+                f, object_pairs_hook=functools.partial(unique_keys, error=ConfigError), parse_int=_parse_int,
+            )
         except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _check_keys(doc, _TOP_KEYS, "config")
+    if seed is not None:
+        doc["seeds"] = [seed]
     try:
         return ExperimentConfig(**doc)
     except TypeError as e:

@@ -114,79 +114,35 @@ def _hyper(cfg, cell):
 
 
 def run_cell(cfg, train_ds, test_ds, job, on_epoch=None):
-    """Train `job`, a list of cells that `_jobs` put together, in this
-    process; returns per cell its TrainResult or the TrainingDiverged that
-    stopped it. `on_epoch(i, row)` gets each history row of `job[i]`."""
+    """Train `job`, a list of cells that `training.plan_jobs` put together,
+    in this process; returns per cell its TrainResult or the TrainingDiverged
+    that stopped it. `on_epoch(i, row)` gets each history row of `job[i]`."""
     first = job[0]  # the cells of a job share their data
     job_ds = subsample(train_ds, first.percent, first.seed) if first.percent < 100 else train_ds
     runs = [(cell.variant, _hyper(cfg, cell)) for cell in job]
     return train_job(job_ds, runs, eval_dataset=test_ds, on_epoch=on_epoch)
 
 
-# What a half costs, by kind (`training.half_keys`), to start the longest
-# jobs first: the residual classifier costs about twice the DCGAN pair of a
-# GAN half or of a shared run.
-_HALF_COST = {"classifier": 2, "gan": 1, "shared": 1}
-
-
-class _Job:
-    """Cells that train together, as indices into the command's cells, and
-    the keys of the halves they train."""
-
-    def __init__(self):
-        self.cells = []
-        self.halves = set()
-
-    @property
-    def cost(self):
-        return sum(_HALF_COST[key[1][0]] for key in self.halves)
-
-
-def _jobs(cfg, cells):
-    """Group `cells` into jobs, in the order of their first cells, so that a
-    half (`training.half_keys`) that cells on the same data share trains
-    once. Each GAN half starts a job that holds every cell reading it; then
-    each cell without a GAN half joins the first job that trains its
-    classifier half, or starts its own. A classifier half that cells with
-    different GAN halves read so trains once in each of their jobs."""
-    keys = [
-        [None if key is None else (cell.percent, key) for key in training.half_keys(cell.variant, _hyper(cfg, cell))]
-        for cell in cells
-    ]
-    jobs = []
-    for with_gan in (True, False):
-        for i, (gan, classifier) in enumerate(keys):
-            if (gan is not None) == with_gan:
-                home = gan or classifier  # the half whose job the cell joins
-                job = next((job for job in jobs if home in job.halves), None)
-                if job is None:
-                    jobs.append(job := _Job())
-                job.cells.append(i)
-                job.halves |= {gan, classifier} - {None}
-    for job in jobs:
-        job.cells.sort()
-    return sorted(jobs, key=lambda job: job.cells[0])
-
-
 def run_cells(cfg, train_ds, test_ds, cells, writer=None, on_result=None):
     """Train `cells` and return their TrainResults in cell order.
 
-    Cells train in jobs (`_jobs`), so a half that cells share trains once.
-    Each job trains in a forked child (`ChildStream`) that streams its
-    history rows as epochs finish, at most min(usable cores, jobs) at once,
-    the longest first; with one job or one core they train here, with no
-    child. Each child gets an equal share of the cores, used by `evaluate`
-    and, when it is two or more, by a GAN child (see `training.train_job`),
-    and one OpenBLAS thread. Either way, `writer` gets the cells' history
-    rows in cell order, a cell's rows as soon as every earlier cell has
-    finished, and `on_result(cell, result)` is called in cell order, so
-    outputs are the same bytes on any number of cores, and metrics.csv is
-    at every moment a prefix of the finished file. The first diverged cell
-    in cell order raises its TrainingDiverged after the earlier cells and
-    its own rows so far are passed on. On any error, the children still
-    running are stopped at once and jobs not started are dropped.
+    Cells train in jobs (`training.plan_jobs`), so a half that cells share
+    trains once. Each job trains in a forked child (`ChildStream`) that
+    streams its history rows as epochs finish, at most min(usable cores,
+    jobs) at once, in the plan's order, longest first; with one job or one
+    core they train here, in cell order, with no child. Each child gets an
+    equal share of the cores, used by `evaluate` and, when it is two or
+    more, by a GAN child (see `training.train_job`), and one OpenBLAS
+    thread. Either way, `writer` gets the cells' history rows in cell order,
+    a cell's rows as soon as every earlier cell has finished, and
+    `on_result(cell, result)` is called in cell order, so outputs are the
+    same bytes on any number of cores, and metrics.csv is at every moment a
+    prefix of the finished file. The first diverged cell in cell order
+    raises its TrainingDiverged after the earlier cells and its own rows so
+    far are passed on. On any error, the children still running are
+    stopped at once and jobs not started are dropped.
     """
-    jobs = _jobs(cfg, cells)
+    jobs = training.plan_jobs([(cell.percent, cell.variant, _hyper(cfg, cell)) for cell in cells])
     cores = usable_cores()
     workers = min(cores, len(jobs))
     results = []
@@ -216,12 +172,11 @@ def run_cells(cfg, train_ds, test_ds, cells, writer=None, on_result=None):
         flush()
 
     if workers <= 1:
-        for job in jobs:
-            job_cells = [cells[i] for i in job.cells]
+        for job in sorted(jobs):
             job_outcomes = run_cell(
-                cfg, train_ds, test_ds, job_cells, on_epoch=lambda k, row: add_row(job.cells[k], row),
+                cfg, train_ds, test_ds, [cells[i] for i in job], on_epoch=lambda k, row: add_row(job[k], row),
             )
-            outcomes.update(zip(job.cells, job_outcomes))
+            outcomes.update(zip(job, job_outcomes))
             flush()
         return results
 
@@ -229,14 +184,13 @@ def run_cells(cfg, train_ds, test_ds, cells, writer=None, on_result=None):
         # `run_cell` is looked up here, in the child, so a wrapper bound to
         # that name on the module (as tracers do) is the one that runs.
         training.core_budget = cores // workers
-        return run_cell(cfg, train_ds, test_ds, [cells[i] for i in job.cells], on_epoch=lambda k, row: send((k, row)))
+        return run_cell(cfg, train_ds, test_ds, [cells[i] for i in job], on_epoch=lambda k, row: send((k, row)))
 
-    waiting = sorted(jobs, key=lambda job: -job.cost)
     running = {}
     try:
-        while running or waiting:
-            while waiting and len(running) < workers:
-                job = waiting.pop(0)
+        while running or jobs:
+            while jobs and len(running) < workers:
+                job = jobs.pop(0)
                 running[ChildStream(functools.partial(train_in_child, job))] = job
             for child in wait(list(running)):
                 try:
@@ -244,10 +198,10 @@ def run_cells(cfg, train_ds, test_ds, cells, writer=None, on_result=None):
                 except StopIteration as end:
                     job = running.pop(child)
                     child.close()
-                    outcomes.update(zip(job.cells, end.value))
+                    outcomes.update(zip(job, end.value))
                     flush()
                 else:
-                    add_row(running[child].cells[k], row)
+                    add_row(running[child][k], row)
     finally:
         for child in running:
             child.close()
@@ -287,9 +241,7 @@ def _run_outputs(out_dir, run_doc):
 
 def cmd_train(config_path, seed_override=None):
     """Train every (percent, seed) cell of the config's variant."""
-    cfg = load_config(config_path)
-    if seed_override is not None:
-        cfg.seeds = [seed_override]
+    cfg = load_config(config_path, seed=seed_override)
     train_ds, test_ds = load_datasets(cfg.dataset)
     lam = cfg.hyper(seed=cfg.seeds[0]).lam
     cells = [Cell(cfg.variant, percent, lam, seed) for percent in cfg.dataset_percent for seed in cfg.seeds]
@@ -336,9 +288,7 @@ def cmd_sweep(config_path, axis, seed_override=None):
     The baseline ignores lambda, so within one (percent, seed) it is
     trained once and its accuracy reused across lambda values.
     """
-    cfg = load_config(config_path)
-    if seed_override is not None:
-        cfg.seeds = [seed_override]
+    cfg = load_config(config_path, seed=seed_override)
     train_ds, test_ds = load_datasets(cfg.dataset)
     groups = [
         (label, variant, [Cell(variant, percent, lam, seed, aug, dec) for seed in cfg.seeds])

@@ -41,6 +41,9 @@ _GRAD_ENABLED = True
 BN_EPS = 1e-5
 # Weight of the batch statistics in batch norm's running averages.
 BN_MOMENTUM = 0.1
+# The largest seed `Rng` takes. Numpy turns a Philox key with one entry of
+# 2**63 or more into float64, which holds every integer up to 2**53 exactly.
+MAX_SEED = 2**53
 
 
 def default_dtype():
@@ -87,16 +90,19 @@ class Rng:
     (seed, stream) where the stream id is a 64-bit BLAKE2s digest of the
     stream name. The same (seed, stream) always yields the same scalar
     sequence within one build of this package; cross-library bit
-    equality is not promised.
+    equality is not promised. A seed outside [0, MAX_SEED] is a
+    ContractError: beyond it two seeds could share a key.
     """
 
     def __init__(self, seed, stream=""):
         self.seed = int(seed)
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ContractError(f"seed must be in [0, 2**53], got {seed}")
         self.stream = stream
         sid = int.from_bytes(
             hashlib.blake2s(stream.encode("utf-8"), digest_size=8).digest(), "little"
         )
-        self._gen = np.random.Generator(np.random.Philox(key=[self.seed & (2**64 - 1), sid]))
+        self._gen = np.random.Generator(np.random.Philox(key=[self.seed, sid]))
 
     def normal(self, shape=None, loc=0.0, scale=1.0):
         out = self._gen.normal(loc, scale, shape)

@@ -87,8 +87,8 @@ class HyperParams:
         if not 0 <= self.lam < math.inf:
             raise SpecError(f"lambda must be finite and >= 0, got {self.lam}")
         for name in ("lr_g", "lr_d", "lr_c"):
-            if not getattr(self, name) > 0:
-                raise SpecError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise SpecError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0.0 <= self.threshold <= 1.0:
             raise SpecError(f"threshold must be in [0,1], got {self.threshold}")
         if not 0 <= self.weight_decay < math.inf:
@@ -451,6 +451,40 @@ def half_keys(variant, hp):
     return gan, key(classifier, gan, hp.lam, hp.threshold)
 
 
+# What a half costs, by kind: the residual classifier costs about twice the
+# DCGAN pair of a GAN half or of a shared run.
+_HALF_COST = {"classifier": 2, "gan": 1, "shared": 1}
+
+
+def plan_jobs(runs):
+    """Group `runs`, a list of (data, variant, hp), into jobs for `train_job`,
+    so that a half (`half_keys`) that runs on equal `data` share trains once.
+    Each GAN half starts a job that holds every run reading it; then each run
+    without a GAN half joins the first job that trains its classifier half,
+    or starts its own. A classifier half that runs with different GAN halves
+    read so trains once in each of their jobs.
+
+    Returns the jobs as sorted lists of run indices, costliest first, so that
+    parallel jobs start longest first (Graham's LPT rule); ties keep the
+    order of their first runs."""
+    keys = [
+        [None if key is None else (data, key) for key in half_keys(variant, hp)]
+        for data, variant, hp in runs
+    ]
+    jobs = []  # (run indices, the keys of the halves they train)
+    for with_gan in (True, False):
+        for i, (gan, classifier) in enumerate(keys):
+            if (gan is not None) == with_gan:
+                home = gan or classifier  # the half whose job the run joins
+                job = next((job for job in jobs if home in job[1]), None)
+                if job is None:
+                    jobs.append(job := ([], set()))
+                job[0].append(i)
+                job[1].update({gan, classifier} - {None})
+    jobs.sort(key=lambda job: (-sum(_HALF_COST[key[0]] for _, key in job[1]), min(job[0])))
+    return [sorted(indices) for indices, _ in jobs]
+
+
 class _Half:
     """A half of a job's runs, built and trained once: its networks, their
     optimizers, and its StepMetrics this epoch."""
@@ -493,6 +527,15 @@ def _epoch_means(steps):
         for name in names:
             sums[name] += getattr(metrics, name)
     return {name: sums[name] / len(steps) for name in names}
+
+
+def _diverged(error, half, step):
+    """`error`, raised by `half` at `step`, as a TrainingDiverged. A
+    FloatingPointError is arithmetic that left the finite floats, which
+    numpy raises where its error state says so (as `cli.main` sets it)."""
+    if isinstance(error, TrainingDiverged):
+        return error
+    return TrainingDiverged(f"{half.part.kind} half: {error}", step=step)
 
 
 @contextlib.contextmanager
@@ -575,16 +618,16 @@ def train_job(dataset, runs, eval_dataset=None, on_epoch=None):
                     try:
                         loss_d, loss_g, fakes = next(feed)
                         gan.steps.append(StepMetrics(loss_d, loss_g))
-                    except TrainingDiverged as e:
+                    except (TrainingDiverged, FloatingPointError) as e:
                         for run in readers(gan):
-                            run.error = e
+                            run.error = _diverged(e, gan, step)
                 for half in classifiers:
                     if readers(half):
                         try:
                             half.steps.append(half.part.update(half, batch, fakes if half.reads_fakes else None, step))
-                        except TrainingDiverged as e:
+                        except (TrainingDiverged, FloatingPointError) as e:
                             for run in readers(half):
-                                run.error = e
+                                run.error = _diverged(e, half, step)
             if all(run.error is not None for run in members):
                 break
             accuracy = {}

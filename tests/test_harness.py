@@ -468,7 +468,6 @@ def test_a_job_has_at_most_one_gan_half(tmp_path, monkeypatch):
     cfg = load_config(path)
     train_ds, test_ds = H.load_datasets(cfg.dataset)
     cells = [H.Cell(variant, 100, 0.0, 0) for variant in ("baseline", "ecgan", "ecgan_conditional")]
-    assert [job.cells for job in H._jobs(cfg, cells)] == [[0, 1], [2]]
     set_cores(monkeypatch, 1)
     together = H.run_cells(cfg, train_ds, test_ds, cells)
     for cell, result in zip(cells, together):
@@ -476,17 +475,6 @@ def test_a_job_has_at_most_one_gan_half(tmp_path, monkeypatch):
         assert result.history == alone.history
     assert together[0].networks["classifier"] is together[1].networks["classifier"]
     assert together[2].networks["classifier"] is not together[0].networks["classifier"]
-
-
-def test_jobs_of_a_lambda_zero_strategy_sweep(tmp_path):
-    # Per augment setting, decay on and off share ecgan's lambda 0 GAN half,
-    # and each shares its classifier half with a baseline cell: the job that
-    # decay on starts takes in the one decay off started.
-    path, _ = tiny_config(tmp_path, hyperparams={"lambda": 0.0})
-    cfg = load_config(path)
-    jobs = H._jobs(cfg, sweep_cells(cfg, "strategy"))  # (baseline, ecgan, shared) per setting
-    assert [job.cells for job in jobs] == [[0, 1, 3, 4], [2], [5], [6, 7, 9, 10], [8], [11]]
-    assert [job.cost for job in jobs] == [5, 1, 1, 5, 1, 1]
 
 
 def test_a_lambda_sweep_trains_each_half_once(tmp_path, monkeypatch):
@@ -946,6 +934,81 @@ def test_cli_bad_env_seed(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ECGAN_SEED", "lots")
     assert cli.main(["train", path]) == 2
     assert "ECGAN_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**53 + 1, 2**64])
+@pytest.mark.parametrize("where", ["flag", "env", "seeds", "data_seed"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_cli_refuses_a_seed_out_of_range_before_touching_outputs(tmp_path, monkeypatch, capsys, command, where, seed):
+    # Seeds -1 and -2 drew the same latent and init streams, with a numpy
+    # RuntimeWarning, and seed 2**64 drew seed 0's.
+    _, doc = tiny_config(tmp_path)
+    path, _ = tiny_config(tmp_path, **{
+        "seeds": {"seeds": [seed]}, "data_seed": {"dataset": {**doc["dataset"], "data_seed": seed}},
+    }.get(where, {}))
+    argv = [command, path] + (["--axis", "lambda"] if command == "sweep" else [])
+    if where == "flag":
+        argv += ["--seed", str(seed)]
+    if where == "env":
+        monkeypatch.setenv("ECGAN_SEED", str(seed))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "run.json").write_text("a previous run\n")
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "[0, 2**53]" in err
+    assert [p.name for p in out.iterdir()] == ["run.json"]
+    assert (out / "run.json").read_text() == "a previous run\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**53 + 1])
+def test_cli_eval_and_generate_refuse_a_seed_out_of_range(tmp_path, capsys, seed):
+    ckpt = tmp_path / "c.ckpt"
+    common = dict(image_size=16, channels=1, num_classes=2, base_width=8)
+    save_checkpoint(ckpt, {
+        "classifier": build_network(NetworkSpec(role="classifier", **common), Rng(0, "init")),
+        "generator": build_network(NetworkSpec(role="generator", **common), Rng(0, "init")),
+    })
+    grid = tmp_path / "g.pgm"
+    for argv in (["eval", str(ckpt), "--data", f"synth:n_per_class=2,classes=2,size=16,seed={seed}"],
+                 ["generate", str(ckpt), "--n", "2", "--out", str(grid), "--seed", str(seed)]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**53], got {seed}\n"
+    assert not grid.exists()
+
+
+@pytest.mark.parametrize("name", ["lr_g", "lr_d", "lr_c"])
+def test_cli_refuses_a_learning_rate_that_is_not_finite(tmp_path, capsys, name):
+    # JSON reads 1e400 as inf. With lr_c inf, the one Adam step of a
+    # 4-image run turned every classifier weight into NaN; the run printed
+    # RuntimeWarnings, exited 0 and wrote a checkpoint of NaNs.
+    hyperparams = {"batch_size": 4, "epochs": 1, "base_width": 8, "depth": 1, name: "INF"}
+    path, _ = tiny_config(tmp_path, variant="ecgan", hyperparams=hyperparams)
+    Path(path).write_text(Path(path).read_text().replace('"INF"', "1e400"))
+    assert cli.main(["train", path]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be finite and > 0, got inf\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, half", [("lr_d", "gan"), ("lr_c", "classifier")])
+def test_cli_reports_an_overflowing_run_as_diverged(tmp_path, capsys, name, half):
+    # A finite learning rate too large for float32 overflowed: the run
+    # printed RuntimeWarnings and went on with non-finite weights.
+    hyperparams = {"batch_size": 4, "epochs": 1, "base_width": 8, "depth": 1, name: 1e300}
+    path, doc = tiny_config(tmp_path, variant="ecgan", hyperparams=hyperparams)
+    assert cli.main(["train", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: training diverged: {half} half: overflow encountered in ") and err.count("\n") == 1
+    assert not os.path.exists(os.path.join(doc["output_dir"], "run.json"))
+
+
+def test_cli_refuses_an_integer_too_large_for_a_float(tmp_path, capsys):
+    # 10**400 passed `lambdas`' check (an int compares below inf) and ended
+    # in an OverflowError traceback.
+    path, _ = tiny_config(tmp_path, lambdas=[10**400])
+    assert cli.main(["train", path]) == 2
+    assert capsys.readouterr().err == "error: integer of 401 digits is out of range\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_divergence_exit_code(monkeypatch, capsys):

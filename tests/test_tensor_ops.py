@@ -392,3 +392,29 @@ def test_rng_dtype_follows_default():
     with T.precision(np.float32):
         assert T.Rng(0, "x").normal((2,)).dtype == np.float32
     assert T.Rng(0, "x").normal((2,)).dtype == np.float64
+
+
+# Every stream name the lab draws from.
+LAB_STREAMS = [
+    "data", "latent", "init/generator", "init/discriminator", "init/classifier", "init/shared",
+    "generate", "subsample", "synth_shapes",
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**53 - 1, 2**53])
+def test_rng_takes_seeds_from_zero_to_two_to_the_53(seed):
+    assert T.Rng(seed, "data").seed == seed
+
+
+@pytest.mark.parametrize("seed", [-1, -2, 2**53 + 1, 2**63, 2**64])
+def test_rng_refuses_seeds_outside_zero_to_two_to_the_53(seed):
+    # -1 and -2 drew the same latent and init streams, 2**64 drew seed 0's
+    # streams, and 2**53 + 1 drew 2**53's data stream.
+    with pytest.raises(ContractError, match=rf"seed must be in \[0, 2\*\*53\], got {seed}"):
+        T.Rng(seed, "latent")
+
+
+@pytest.mark.parametrize("stream", LAB_STREAMS)
+@pytest.mark.parametrize("a, b", [(0, 1), (2**53 - 1, 2**53)])
+def test_neighbouring_seeds_draw_distinct_streams(stream, a, b):
+    assert not np.array_equal(T.Rng(a, stream).integers(0, 2**62, 4), T.Rng(b, stream).integers(0, 2**62, 4))

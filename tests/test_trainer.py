@@ -524,6 +524,33 @@ def test_a_job_rejects_runs_that_cannot_share_it(monkeypatch, runs):
     assert started == []
 
 
+def test_plan_jobs_puts_one_gan_half_in_a_job():
+    # Both lambda 0 runs read the baseline's classifier half, but their GAN
+    # halves differ: the conditional run trains that classifier half again.
+    hp = HyperParams(**{**PIPELINE_HP, "lam": 0.0})
+    assert TR.plan_jobs([(100, variant, hp) for variant in ("baseline", "ecgan", "ecgan_conditional")]) == [[0, 1], [2]]
+
+
+def test_plan_jobs_of_a_lambda_zero_strategy_sweep():
+    # Per augment setting, decay on and off share ecgan's lambda 0 GAN half,
+    # and each shares its classifier half with a baseline run: the job that
+    # decay on starts takes in the one decay off started. The two jobs of a
+    # GAN half and two classifier halves start first, then the shared runs.
+    runs = [
+        (100, variant, HyperParams(**{**PIPELINE_HP, "lam": 0.0, "augment": augment, "weight_decay": decay}))
+        for augment in (True, False) for decay in (1e-3, 0.0) for variant in ("baseline", "ecgan", "shared")
+    ]
+    assert TR.plan_jobs(runs) == [[0, 1, 3, 4], [6, 7, 9, 10], [2], [5], [8], [11]]
+
+
+def test_plan_jobs_never_shares_a_job_across_data():
+    hp = HyperParams(**{**PIPELINE_HP, "lam": 0.0})
+    runs = [(data, variant, hp) for data in (100, 50) for variant in ("baseline", "ecgan", "shared")]
+    assert TR.plan_jobs(runs) == [[0, 1], [3, 4], [2], [5]]
+    # On one data set the same runs read each half twice.
+    assert TR.plan_jobs([(100, variant, hp) for _, variant, hp in runs]) == [[0, 1, 3, 4], [2, 5]]
+
+
 @pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("diverges", [None, 3], ids=["finishes", "gan-diverges"])
 def test_lambda_zero_shares_the_baselines_classifier_half(monkeypatch, cores, diverges):
@@ -565,6 +592,18 @@ def test_lambda_zero_shares_the_baselines_classifier_half(monkeypatch, cores, di
         assert steps["classifier"] == 2 * hp.epochs  # one classifier half, two steps per epoch
     else:
         assert len(started) == 1
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_arithmetic_that_leaves_the_finite_floats_is_a_divergence(monkeypatch, cores):
+    # Where numpy raises FloatingPointError (as the CLI has it), a step
+    # that overflows stops the runs that read its half, in a GAN child too.
+    set_cores(monkeypatch, cores)
+    hp = HyperParams(**{**PIPELINE_HP, "lr_d": 1e300})
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(TrainingDiverged, match=r"^gan half: overflow encountered in cast \(step 0\)$"):
+            train("ecgan", tiny_dataset(4, seed=36), hp)
+    assert multiprocessing.active_children() == []
 
 
 def test_lambda_zero_run_equals_baseline_run():
@@ -788,6 +827,7 @@ def test_evaluate_empty_dataset_rejected():
         (dict(lam=float("inf")), "lambda must be finite"),
         (dict(weight_decay=float("nan")), "weight_decay must be finite"),
         (dict(weight_decay=float("inf")), "weight_decay must be finite"),
+        (dict(lr_c=float("inf")), "lr_c must be finite"),
     ],
 )
 def test_hyperparams_validation(kwargs, match):
