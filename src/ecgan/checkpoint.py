@@ -12,6 +12,10 @@ parameter and running statistic. Version-1 files still load with the same
 code. Their "optimizers" field and "opt:<component>/<m|v>/<parameter>"
 Adam moments are read past: `build` takes only a component's own records,
 and no command resumes training.
+
+A record that holds a NaN or an infinity is refused: a diverged run saves
+no checkpoint, so such a record is damage, which would otherwise reach
+`eval` and `generate` as a wrong answer or a float error.
 """
 
 from __future__ import annotations
@@ -190,7 +194,12 @@ def load_checkpoint(path):
         nbytes = count * _RECORD_DTYPE.itemsize
         if len(buf) < pos + nbytes:
             raise FormatError(f"{path}: truncated record {rec['name']!r}", offset=len(buf))
-        arr = np.frombuffer(buf, dtype=_RECORD_DTYPE, count=count, offset=pos).reshape(rec["shape"])
+        try:  # numpy refuses sides whose product passes its index range, even beside a 0
+            arr = np.frombuffer(buf, dtype=_RECORD_DTYPE, count=count, offset=pos).reshape(rec["shape"])
+        except ValueError as e:
+            raise FormatError(f"{path}: record {rec['name']!r} has shape {rec['shape']} ({e})", offset=pos) from None
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: record {rec['name']!r} holds a non-finite value", offset=pos)
         arrays[rec["name"]] = arr.copy()
         pos += nbytes
     if pos != len(buf):

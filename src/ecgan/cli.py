@@ -10,8 +10,10 @@ then the config file (or the generate default of 0). Errors print one
 `error: ...` line on stderr and exit nonzero: 2 for a `UsageError` (bad
 configs, data or files), 1 for runtime failures such as divergence or
 running out of memory. Commands run with numpy raising FloatingPointError
-on overflow, invalid operations and division by zero, which training turns
-into the divergence of the half that raised it.
+on overflow, invalid operations and division by zero. Training sets that
+state itself and turns such an error into the divergence of the half that
+raised it (`training.train_job`); elsewhere, as in `eval`, `generate` or
+data synthesis, it is `error: arithmetic left the finite floats: ...`.
 
 OpenBLAS runs every GEMM on the calling thread (`processes.one_blas_thread`).
 """

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .data import SOURCES, value_type
 from .errors import ConfigError, unique_keys
-from .tensor import MAX_SEED
+from .tensor import MAX_FLOAT, MAX_SEED
 from .training import VARIANTS, HyperParams
 
 # A dataset block holds the data specs (`data.SOURCES`) of both splits. A
@@ -105,8 +105,8 @@ class ExperimentConfig:
             if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0 < p <= 100:
                 raise ConfigError(f"dataset_percent entries must be in (0,100], got {p!r}")
         for v in self.lambdas:
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v < math.inf:
-                raise ConfigError(f"lambdas entries must be finite and >= 0, got {v!r}")
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v <= MAX_FLOAT:
+                raise ConfigError(f"lambdas entries must be finite in float32 and >= 0, got {v!r}")
         for s in self.seeds:
             if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s <= MAX_SEED:
                 raise ConfigError(f"seeds entries must be integers in [0, 2**53], got {s!r}")

@@ -10,7 +10,6 @@ size is read must hold square images (`Dataset.image_size`).
 from __future__ import annotations
 
 import csv
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import pgm
 from .errors import DataError, FormatError, SpecError
-from .tensor import Rng, Tensor
+from .tensor import MAX_FLOAT, Rng, Tensor
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -61,7 +60,7 @@ class Dataset:
                 f"[{self.labels.min()},{self.labels.max()}]"
             )
         lo, hi = float(self.images.min()), float(self.images.max())
-        if lo < 0.0 or hi > 1.0:
+        if not 0.0 <= lo <= hi <= 1.0:  # false for a NaN
             raise DataError(f"image values outside [0,1]: range [{lo},{hi}]")
 
     def __len__(self):
@@ -311,8 +310,8 @@ def synth_shapes(n_per_class, num_classes, size, noise_sigma=NOISE_SIGMA, seed=0
         raise SpecError(f"size must be 16 or 32, got {size}")
     if n_per_class < 1:
         raise SpecError(f"n_per_class must be >= 1, got {n_per_class}")
-    if not 0 <= noise_sigma < math.inf:
-        raise SpecError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma <= MAX_FLOAT:
+        raise SpecError(f"noise_sigma must be finite in float32 and >= 0, got {noise_sigma}")
     rng = Rng(seed, "synth_shapes")
     coords = (np.arange(size) + 0.5) / size * 2.0 - 1.0
     ys, xs = np.meshgrid(coords, coords, indexing="ij")

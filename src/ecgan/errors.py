@@ -54,7 +54,9 @@ def unique_keys(pairs, error):
 
 
 class TrainingDiverged(RuntimeError):
-    """A loss became non-finite during training."""
+    """A half of a run left the finite floats: an operation of its training
+    overflowed, was invalid (as inf - inf or 0 * inf) or divided by zero
+    (`training.train_job`). `step` is the minibatch at which it did."""
 
     def __init__(self, message, step=None):
         if step is not None:

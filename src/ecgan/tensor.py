@@ -44,6 +44,9 @@ BN_MOMENTUM = 0.1
 # The largest seed `Rng` takes. Numpy turns a Philox key with one entry of
 # 2**63 or more into float64, which holds every integer up to 2**53 exactly.
 MAX_SEED = 2**53
+# The largest float setting (a learning rate, lambda, weight decay, noise
+# sigma): training works in float32, where a larger one overflows.
+MAX_FLOAT = float(np.finfo(np.float32).max)
 
 
 def default_dtype():

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -47,6 +46,7 @@ from .networks import NetworkSpec, build_network, draw_latent
 from .optim import Adam, apply_weight_decay
 from .processes import ChildStream
 from .tensor import (
+    MAX_FLOAT,
     Rng,
     Tensor,
     add,
@@ -84,15 +84,15 @@ class HyperParams:
     augment: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.lam < math.inf:
-            raise SpecError(f"lambda must be finite and >= 0, got {self.lam}")
+        if not 0 <= self.lam <= MAX_FLOAT:
+            raise SpecError(f"lambda must be finite in float32 and >= 0, got {self.lam}")
         for name in ("lr_g", "lr_d", "lr_c"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise SpecError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) <= MAX_FLOAT:
+                raise SpecError(f"{name} must be finite in float32 and > 0, got {getattr(self, name)}")
         if not 0.0 <= self.threshold <= 1.0:
             raise SpecError(f"threshold must be in [0,1], got {self.threshold}")
-        if not 0 <= self.weight_decay < math.inf:
-            raise SpecError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay <= MAX_FLOAT:
+            raise SpecError(f"weight_decay must be finite in float32 and >= 0, got {self.weight_decay}")
         if self.batch_size < 1 or self.epochs < 1:
             raise SpecError("batch_size and epochs must be >= 1")
 
@@ -136,12 +136,6 @@ def pseudo_label(logits, threshold):
     return PseudoLabelResult(kept, labels, rate, max_probs)
 
 
-def _check_finite(value, step, what):
-    if not np.isfinite(value):
-        raise TrainingDiverged(f"{what} became non-finite ({value})", step=step)
-    return float(value)
-
-
 def detached_fakes(g, n, rng):
     """`n` fakes for a player that does not train G: latents from `rng`
     through G under no_grad (no graph), leaving G's running stats untouched.
@@ -153,7 +147,7 @@ def detached_fakes(g, n, rng):
     return fake, lv.conditional_class
 
 
-def discriminator_step(d, g, real_images, opt_d, rng, step=0, labels=None):
+def discriminator_step(d, g, real_images, opt_d, rng, labels=None):
     """One Adam step on D for BCE(D(x),1) + BCE(D(G(z)),0).
 
     Generated images are detached; G's running stats are left untouched.
@@ -164,14 +158,13 @@ def discriminator_step(d, g, real_images, opt_d, rng, step=0, labels=None):
     p_real = d.forward(real_images, labels=labels if d.spec.conditional else None)
     p_fake = d.forward(fake, labels=classes)
     loss = add(bce(p_real, 1.0), bce(p_fake, 0.0))
-    value = _check_finite(loss.item(), step, "discriminator loss")
     opt_d.zero_grad()
     backward(loss)
     opt_d.step()
-    return value
+    return loss.item()
 
 
-def generator_step(g, d, batch_size, opt_g, rng, step=0):
+def generator_step(g, d, batch_size, opt_g, rng):
     """One Adam step on G for BCE(D(G(z)),1).
 
     Gradients flow through D but only G's parameters move; D's batch-norm
@@ -181,14 +174,13 @@ def generator_step(g, d, batch_size, opt_g, rng, step=0):
     fake = g.forward(lv.values)
     p_fake = d.forward(fake, labels=lv.conditional_class, update_stats=False)
     loss = bce(p_fake, 1.0)
-    value = _check_finite(loss.item(), step, "generator loss")
     opt_g.zero_grad()
     backward(loss)
     opt_g.step()
-    return value
+    return loss.item()
 
 
-def classifier_step(c, fakes, batch, hp, opt_c, step=0):
+def classifier_step(c, fakes, batch, hp, opt_c):
     """One Adam step on C for CE(C(x),y) + lambda * CE on kept fakes.
 
     Pseudo-labels come from C's start-of-step parameters; a single
@@ -211,16 +203,14 @@ def classifier_step(c, fakes, batch, hp, opt_c, step=0):
             unsup = cross_entropy(kept, result.kept_labels)
             unsup_value = unsup.item()
             loss = add(sup, scale(unsup, hp.lam))
-    sup_value = _check_finite(sup.item(), step, "classifier loss")
-    _check_finite(unsup_value, step, "classifier unsupervised loss")
     opt_c.zero_grad()
     backward(loss)
     apply_weight_decay(c.trainable_parameters(), hp.weight_decay)
     opt_c.step()
-    return sup_value, unsup_value, keep_rate
+    return sup.item(), unsup_value, keep_rate
 
 
-def shared_step(sd, g, batch, hp, opt_sd, opt_g, rng, step=0):
+def shared_step(sd, g, batch, hp, opt_sd, opt_g, rng):
     """Combined update of the two-headed discriminator, then a G step.
 
     The objective is lambda * (BCE(Dd(G(z)),0) + BCE(Dd(x),1)) +
@@ -242,8 +232,6 @@ def shared_step(sd, g, batch, hp, opt_sd, opt_g, rng, step=0):
         loss = add(scale(gan_terms, hp.lam), ce)
     else:
         loss = ce
-    sup_value = _check_finite(ce.item(), step, "shared classifier loss")
-    _check_finite(loss_d_value, step, "shared discriminator loss")
     opt_sd.zero_grad()
     backward(loss)
     if hp.lam == 0:
@@ -257,15 +245,14 @@ def shared_step(sd, g, batch, hp, opt_sd, opt_g, rng, step=0):
     fake2 = g.forward(lv2.values)
     _, p_fake2 = sd.forward(fake2, update_stats=False)
     loss_g = bce(p_fake2, 1.0)
-    loss_g_value = _check_finite(loss_g.item(), step, "generator loss")
     opt_g.zero_grad()
     backward(loss_g)
     opt_g.step()
 
     return StepMetrics(
         loss_d=loss_d_value,
-        loss_g=loss_g_value,
-        loss_c_sup=sup_value,
+        loss_g=loss_g.item(),
+        loss_c_sup=ce.item(),
         loss_c_unsup=0.0,
         keep_rate=0.0,
     )
@@ -357,30 +344,28 @@ def _gan_half(half, minibatches):
     the G step and the classifier's fakes (`detached_fakes`), drawing from
     the half's latent stream in that order. Yields (loss_d, loss_g, fakes)."""
     g, d, rng = half.nets["generator"], half.nets["discriminator"], half.latents
-    for _, step, batch in minibatches:
-        loss_d = discriminator_step(d, g, batch.images, half.opts["discriminator"], rng, step=step, labels=batch.labels)
-        loss_g = generator_step(g, d, len(batch), half.opts["generator"], rng, step=step)
+    for _, _, batch in minibatches:
+        loss_d = discriminator_step(d, g, batch.images, half.opts["discriminator"], rng, labels=batch.labels)
+        loss_g = generator_step(g, d, len(batch), half.opts["generator"], rng)
         yield loss_d, loss_g, detached_fakes(g, len(batch), rng)[0]
 
 
-def _classifier_update(half, batch, fakes, step):
-    sup, unsup, keep = classifier_step(
-        half.nets["classifier"], fakes, batch, half.hp, half.opts["classifier"], step=step,
-    )
+def _classifier_update(half, batch, fakes):
+    sup, unsup, keep = classifier_step(half.nets["classifier"], fakes, batch, half.hp, half.opts["classifier"])
     return StepMetrics(loss_c_sup=sup, loss_c_unsup=unsup, keep_rate=keep)
 
 
-def _shared_update(half, batch, fakes, step):
+def _shared_update(half, batch, fakes):
     return shared_step(
         half.nets["shared"], half.nets["generator"], batch, half.hp,
-        half.opts["shared"], half.opts["generator"], half.latents, step=step,
+        half.opts["shared"], half.opts["generator"], half.latents,
     )
 
 
 class _Part(NamedTuple):
     """A half of a variant's run: its networks and the HyperParams fields
     that decide what it trains. A classifier half (every half but a GAN
-    half) also has `update(half, batch, fakes, step)`, its StepMetrics for
+    half) also has `update(half, batch, fakes)`, its StepMetrics for
     one minibatch."""
 
     kind: str
@@ -530,11 +515,8 @@ def _epoch_means(steps):
 
 
 def _diverged(error, half, step):
-    """`error`, raised by `half` at `step`, as a TrainingDiverged. A
-    FloatingPointError is arithmetic that left the finite floats, which
-    numpy raises where its error state says so (as `cli.main` sets it)."""
-    if isinstance(error, TrainingDiverged):
-        return error
+    """The FloatingPointError `error`, which numpy raised in `half` at
+    `step` under `train_job`'s error state, as a TrainingDiverged."""
     return TrainingDiverged(f"{half.part.kind} half: {error}", step=step)
 
 
@@ -572,6 +554,7 @@ def _feed(gan, dataset, hp, read_all):
                         gan.nets[key] = build_network(gan.nets[key].spec, state)
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def train_job(dataset, runs, eval_dataset=None, on_epoch=None):
     """Train `runs`, a list of (variant, hp) on `dataset`, as one job: each
     half that runs have in common (see `half_keys`) trains once. Per
@@ -585,6 +568,12 @@ def train_job(dataset, runs, eval_dataset=None, on_epoch=None):
     other runs go on. `on_epoch(i, row)`, when given, gets each history row
     of run i, for a stopped run those before it stopped. Any other error
     ends the job.
+
+    A half diverges at its first floating-point overflow, invalid operation
+    or division by zero: the job runs under a numpy error state that raises
+    each as a FloatingPointError, whoever calls it, and so do the children
+    it forks. From finite inputs, IEEE arithmetic makes an inf or a NaN only
+    through one of these, so no non-finite number trains unseen.
     """
     start = time.perf_counter()
     keys = [half_keys(variant, hp) for variant, hp in runs]
@@ -618,14 +607,14 @@ def train_job(dataset, runs, eval_dataset=None, on_epoch=None):
                     try:
                         loss_d, loss_g, fakes = next(feed)
                         gan.steps.append(StepMetrics(loss_d, loss_g))
-                    except (TrainingDiverged, FloatingPointError) as e:
+                    except FloatingPointError as e:
                         for run in readers(gan):
                             run.error = _diverged(e, gan, step)
                 for half in classifiers:
                     if readers(half):
                         try:
-                            half.steps.append(half.part.update(half, batch, fakes if half.reads_fakes else None, step))
-                        except (TrainingDiverged, FloatingPointError) as e:
+                            half.steps.append(half.part.update(half, batch, fakes if half.reads_fakes else None))
+                        except FloatingPointError as e:
                             for run in readers(half):
                                 run.error = _diverged(e, half, step)
             if all(run.error is not None for run in members):

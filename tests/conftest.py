@@ -78,3 +78,23 @@ def count_half_steps(monkeypatch):
     monkeypatch.setattr(training, "discriminator_step", counted("gan", training.discriminator_step))
     monkeypatch.setattr(training, "classifier_step", counted("classifier", training.classifier_step))
     return counts
+
+
+def overflowing_adam(steps):
+    """An `Adam` to bind to `training.Adam`, whose optimizers with betas
+    `b` overflow at their update `steps[b]` (from 0): the first parameter's
+    gradient is float32's largest value, whose square, taken for Adam's
+    second moment, is not a float32. D and G share `training.GAN_BETAS`, and
+    D updates first in a step. `Adam` is no GAN step, so a GAN half still
+    trains in its child (see `training._feed`), and the overflow raises there
+    only under the error state that `training.train_job` sets."""
+    from ecgan import training
+
+    class OverflowingAdam(training.Adam):
+        def step(self):
+            if steps.get((self.beta1, self.beta2)) == self.step_count:
+                _, p = self.params[0]
+                p.grad = np.full_like(p.grad, np.finfo(np.float32).max)
+            super().step()
+
+    return OverflowingAdam

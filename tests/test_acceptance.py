@@ -6,8 +6,11 @@ output) with the measured values next to their tolerances. The synthetic
 study protocol (criteria 5-8) shares one session-scoped run cache: its 21
 (variant, lambda, seed) cells train once, up front, on every usable core;
 the ecgan cells at lambda 0.1 and 1.0 of a seed share one GAN half.
+Criteria 5-7 also print their per-seed evidence (`paired_evidence`), which
+no pass rule reads.
 """
 
+import itertools
 import json
 import math
 import os
@@ -340,6 +343,31 @@ def protocol():
     return SimpleNamespace(run=run, acc=final_acc, wall=wall, test_ds=test_ds)
 
 
+def paired_evidence(a, b, names, n_test):
+    """Per-seed evidence that accuracies `a` beat `b`, paired by seed: the
+    deltas in test images out of `n_test`, how many seeds favour each side,
+    and the exact two-sided paired sign-flip p-value of the summed delta
+    over every sign assignment. Its floor is 2 / 2**seeds: 0.0625 at 5."""
+    deltas = [round((x - y) * n_test) for x, y in zip(a, b)]
+    flips = list(itertools.product((1, -1), repeat=len(deltas)))
+    p = sum(abs(sum(s * d for s, d in zip(signs, deltas))) >= abs(sum(deltas)) for signs in flips) / len(flips)
+    return (
+        f"per-seed {names[0]} - {names[1]} {deltas} of {n_test} images; "
+        f"{sum(d > 0 for d in deltas)} seeds favour {names[0]}, {sum(d < 0 for d in deltas)} {names[1]}; "
+        f"sign-flip p {p:.4f} (floor {2 / len(flips):.4f})"
+    )
+
+
+def test_paired_evidence_counts_images_and_sign_flips():
+    assert paired_evidence([0.504, 0.502, 0.5], [0.5, 0.5, 0.5], ("a", "b"), 500) == (
+        "per-seed a - b [2, 1, 0] of 500 images; 2 seeds favour a, 0 b; sign-flip p 0.5000 (floor 0.2500)"
+    )
+    # Every seed favours a: the floor, 2/32 at 5 seeds.
+    assert paired_evidence([0.6] * 5, [0.5] * 5, ("a", "b"), 10).endswith("p 0.0625 (floor 0.0625)")
+    # Sums of +-2 +-1 +-1: |sum| >= 2 for 6 of the 8 signs of the nonzero deltas.
+    assert paired_evidence([2, -1, 0, 0, 1], [0] * 5, ("a", "b"), 1).endswith("p 0.7500 (floor 0.0625)")
+
+
 def test_criterion_5_directional_study(protocol):
     base = [protocol.acc("baseline", 0.0, s) for s in SEEDS]
     ec = [protocol.acc("ecgan", 0.1, s) for s in SEEDS]
@@ -356,8 +384,8 @@ def test_criterion_5_directional_study(protocol):
         5,
         ok,
         f"mean acc ecgan {np.mean(ec):.4f} >= baseline {np.mean(base):.4f}, "
-        f"median delta {np.median(deltas):+.4f} > 0 "
-        f"(per-seed {['%+.3f' % d for d in deltas]}), {elapsed:.0f}s < 900s",
+        f"median delta {np.median(deltas):+.4f} > 0, {elapsed:.0f}s < 900s; "
+        + paired_evidence(ec, base, ("ecgan", "baseline"), len(protocol.test_ds)),
     )
 
 
@@ -368,7 +396,8 @@ def test_criterion_6_shared_architecture(protocol):
     report(
         6,
         ok,
-        f"mean acc ecgan {np.mean(ec):.4f} >= shared {np.mean(shared):.4f} - 0.01",
+        f"mean acc ecgan {np.mean(ec):.4f} >= shared {np.mean(shared):.4f} - 0.01; "
+        + paired_evidence(ec, shared, ("ecgan", "shared"), len(protocol.test_ds)),
     )
 
 
@@ -385,7 +414,9 @@ def test_criterion_7_lambda_sweep_shape(protocol):
         7,
         ok,
         f"mean acc lambda=0.1 {np.mean(lam01):.4f} > lambda=0 {np.mean(lam0):.4f} "
-        f"and > lambda=1.0 {np.mean(lam10):.4f}",
+        f"and > lambda=1.0 {np.mean(lam10):.4f}; "
+        + paired_evidence(lam01, lam0, ("lambda=0.1", "lambda=0"), len(protocol.test_ds)) + "; "
+        + paired_evidence(lam01, lam10, ("lambda=0.1", "lambda=1.0"), len(protocol.test_ds)),
     )
 
 

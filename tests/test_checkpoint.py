@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -298,9 +299,11 @@ def _set_classifier_spec(field, value):
     (_drop_classifier_spec("base_width"), "missing 1 required positional argument: 'base_width'"),
     (_set_first_record_shape([2**40, 2**40]), "truncated record"),
     (_set_first_record_shape([4, -1]), "has shape \\[4, -1\\]"),
+    # An empty record numpy cannot shape: a ValueError traceback.
+    (_set_first_record_shape([0, 2**63]), "has shape \\[0, 9223372036854775808\\] \\(Maximum allowed dimension"),
 ], ids=["record-without-dtype", "no-records", "list-header", "string-depth",
         "float-depth", "zero-depth", "unknown-spec-field", "missing-spec-field", "huge-shape",
-        "negative-dim"])
+        "negative-dim", "empty-but-unshapeable"])
 def test_malformed_header_is_format_error(tmp_path, edit, match):
     path, _ = good_bytes(tmp_path)
     rewrite_header(path, edit)
@@ -401,16 +404,88 @@ def saved_bytes(tmp_path_factory):
     return path.read_bytes()
 
 
+def assert_eval_and_generate_outcomes(path):
+    """`eval` and `generate` of the checkpoint at `path` each exit 0, 1 or
+    2, and print nothing on stderr or, when nonzero, one `error:` line."""
+    for argv in (["eval", str(path), "--data", EVAL_DATA],
+                 ["generate", str(path), "--n", "2", "--out", str(path.parent / "g.pgm")]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), (argv[0], code)
+        assert err.getvalue() == "" if code == 0 else one_error_line(err.getvalue()), (argv[0], err.getvalue())
+
+
 @given(header_edits())
 def test_mutated_header_gives_an_exit_code_and_at_most_one_error_line(saved_bytes, edits):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutated.ckpt"
         path.write_bytes(saved_bytes)
         rewrite_header(path, lambda h: _apply(h, edits))
-        for argv in (["eval", str(path), "--data", EVAL_DATA],
-                     ["generate", str(path), "--n", "2", "--out", str(Path(tmp) / "g.pgm")]):
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(argv)
-            assert code in (0, 1, 2), (argv[0], code)
-            assert err.getvalue() == "" if code == 0 else one_error_line(err.getvalue()), (argv[0], err.getvalue())
+        assert_eval_and_generate_outcomes(path)
+
+
+def record_spans(buf):
+    """Per record name in checkpoint bytes `buf`: its payload's byte offset
+    and float count."""
+    (hlen,) = struct.unpack("<Q", buf[8:16])
+    spans, offset = {}, 16 + hlen
+    for rec in json.loads(buf[16 : 16 + hlen])["records"]:
+        spans[rec["name"]] = (offset, math.prod(rec["shape"]))
+        offset += 4 * spans[rec["name"]][1]
+    return spans
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("record, command", [("classifier/fc.w", "eval"), ("generator/proj.w", "generate")])
+def test_a_non_finite_record_is_refused(tmp_path, capsys, value, record, command):
+    # A NaN fc.w made `eval` print accuracy=0.3333 and exit 0; a NaN proj.w
+    # ended `generate` in "arithmetic left the finite floats" with exit 1.
+    path, buf = good_bytes(tmp_path)
+    offset, _ = record_spans(buf)[record]
+    buf[offset + 12 : offset + 16] = np.float32(value).tobytes()  # its fourth float
+    path.write_bytes(bytes(buf))
+    message = f"{path}: record {record!r} holds a non-finite value (byte offset {offset})"
+    with pytest.raises(FormatError) as exc:
+        C.load_checkpoint(path)
+    assert (str(exc.value), exc.value.offset) == (message, offset)
+    out = tmp_path / "g.pgm"
+    argv = ["eval", str(path), "--data", EVAL_DATA] if command == "eval" else [
+        "generate", str(path), "--n", "2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+ODD_FLOATS = st.sampled_from([np.nan, np.inf, -np.inf, F32_MAX, -F32_MAX, 1e30, -1e30, 1e-45, 0.0])
+
+
+@st.composite
+def byte_edits(draw, buf):
+    """One to three edits of checkpoint bytes `buf`, each ("float", i,
+    value), which writes float32 `value` at byte i, the start of a float of
+    a record's payload, or ("cut", n), which keeps the first n bytes."""
+    spans = sorted(record_spans(buf).values())
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 3)) == 0:
+            edits.append(("cut", draw(st.integers(0, len(buf)))))
+        else:
+            offset, count = draw(st.sampled_from(spans))
+            edits.append(("float", offset + 4 * draw(st.integers(0, count - 1)), draw(ODD_FLOATS)))
+    return edits
+
+
+@given(st.data())
+def test_mutated_bytes_give_an_exit_code_and_at_most_one_error_line(saved_bytes, data):
+    buf = bytearray(saved_bytes)
+    for kind, at, *value in data.draw(byte_edits(saved_bytes)):
+        if kind == "cut":
+            del buf[at:]
+        elif at + 4 <= len(buf):
+            buf[at : at + 4] = np.float32(value[0]).tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.ckpt"
+        path.write_bytes(bytes(buf))
+        assert_eval_and_generate_outcomes(path)

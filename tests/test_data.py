@@ -45,6 +45,13 @@ def test_dataset_casts_and_exposes_geometry():
     assert (len(ds), ds.channels, ds.image_size) == (3, 2, 5)
 
 
+def one_pixel(value):
+    """Two mid-grey 5x5 images, one pixel of which holds `value`."""
+    images = np.full((2, 1, 5, 5), 0.5)
+    images[1, 0, 2, 3] = value
+    return images
+
+
 @pytest.mark.parametrize(
     "images,labels,k,match",
     [
@@ -54,6 +61,9 @@ def test_dataset_casts_and_exposes_geometry():
         (np.zeros((2, 1, 5, 5)), [0, -1], 2, "outside"),
         (np.full((2, 1, 5, 5), 1.5), [0, 1], 2, r"outside \[0,1\]"),
         (np.full((2, 1, 5, 5), -0.5), [0, 1], 2, r"outside \[0,1\]"),
+        (one_pixel(np.nan), [0, 1], 2, r"outside \[0,1\]"),  # was accepted: NaN fails both bounds' tests
+        (one_pixel(np.inf), [0, 1], 2, r"outside \[0,1\]"),
+        (one_pixel(-np.inf), [0, 1], 2, r"outside \[0,1\]"),
     ],
 )
 def test_dataset_rejects_malformed(images, labels, k, match):

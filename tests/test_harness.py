@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import count_gan_children, count_half_steps, runs_gan_half, set_cores
+from conftest import count_gan_children, count_half_steps, overflowing_adam, runs_gan_half, set_cores
 
 import ecgan.cli as cli
 import ecgan.harness as H
@@ -34,7 +34,7 @@ from ecgan.errors import (
     UsageError,
 )
 from ecgan.networks import NetworkSpec, build_network
-from ecgan.tensor import Rng
+from ecgan.tensor import MAX_FLOAT, Rng
 
 
 @pytest.fixture(autouse=True)
@@ -353,10 +353,7 @@ def test_outputs_do_not_depend_on_core_count(tmp_path, monkeypatch, command):
 def test_cell_divergence_in_a_worker_reaches_caller(tmp_path, monkeypatch):
     path, doc = two_seed_config(tmp_path)
     real_train_job = H.train_job
-    real_check = training._check_finite
-
-    def nan_in_second_epoch(value, step, what):
-        return real_check(float("nan") if (what, step) == ("discriminator loss", 1) else value, step, what)
+    real_adam = training.Adam
 
     def train_job(dataset, runs, **kwargs):
         # The GAN half of seed 1's ecgan cells diverges in its second epoch
@@ -364,17 +361,17 @@ def test_cell_divergence_in_a_worker_reaches_caller(tmp_path, monkeypatch):
         # classifier half and finishes.
         if ("ecgan", 0.0, 1) not in [(variant, hp.lam, hp.seed) for variant, hp in runs]:
             return real_train_job(dataset, runs, **kwargs)
-        training._check_finite = nan_in_second_epoch
+        training.Adam = overflowing_adam({training.GAN_BETAS: 1})
         try:
             return real_train_job(dataset, runs, **kwargs)
         finally:
-            training._check_finite = real_check
+            training.Adam = real_adam
 
     monkeypatch.setattr(H, "train_job", train_job)  # forked workers inherit the patch
     metrics = {}
     for cores in (1, 2):
         set_cores(monkeypatch, cores)
-        with pytest.raises(TrainingDiverged, match=r"non-finite \(nan\) \(step 1\)"):
+        with pytest.raises(TrainingDiverged, match=r"^gan half: overflow encountered in multiply \(step 1\)$"):
             H.cmd_sweep(path, "lambda")
         assert multiprocessing.active_children() == []
         assert not os.path.exists(os.path.join(doc["output_dir"], "sweep_summary.csv"))
@@ -425,20 +422,20 @@ def test_divergence_inside_a_job_is_that_of_one_cell_at_a_time(tmp_path, monkeyp
                      "lr_c": 2e-3, "threshold": 0.4},
     )
     if diverges == "classifier":
-        # lambda 1.0's classifier half, in epoch 1: lambda 0.1 finishes
+        # lambda 1.0's classifier half, at its third update (step 2, in
+        # epoch 1): lambda 0.1 finishes
         real_c = training.classifier_step
 
-        def classifier_step(c, fakes, batch, hp, opt_c, step=0):
-            if hp.lam == 1.0 and step == 2:
-                raise TrainingDiverged("classifier loss became non-finite (nan)", step=step)
-            return real_c(c, fakes, batch, hp, opt_c, step=step)
+        def classifier_step(c, fakes, batch, hp, opt_c):
+            if hp.lam == 1.0 and opt_c.step_count == 2:
+                raise FloatingPointError("overflow encountered in multiply")
+            return real_c(c, fakes, batch, hp, opt_c)
 
         monkeypatch.setattr(training, "classifier_step", classifier_step)
     else:
-        # every GAN half, in epoch 1: the baseline finishes before ecgan lambda 0 stops
-        real_check = training._check_finite
-        monkeypatch.setattr(training, "_check_finite", lambda value, step, what: real_check(
-            float("nan") if (what, step) == ("discriminator loss", 2) else value, step, what))
+        # every GAN player, in epoch 1: the baseline finishes before ecgan
+        # lambda 0 stops (the shared cells, whose G stops too, come after it)
+        monkeypatch.setattr(training, "Adam", overflowing_adam({training.GAN_BETAS: 2}))
     cfg = load_config(path)
     train_ds, test_ds = H.load_datasets(cfg.dataset)
     expected_rows = {}
@@ -454,7 +451,7 @@ def test_divergence_inside_a_job_is_that_of_one_cell_at_a_time(tmp_path, monkeyp
             H.cmd_sweep(path, "lambda")
         assert multiprocessing.active_children() == []
         assert (str(job.value), job.value.step) == (str(alone.value), alone.value.step)
-        assert str(job.value).startswith("classifier" if diverges == "classifier" else "discriminator")
+        assert str(job.value) == f"{diverges} half: overflow encountered in multiply (step 2)"
         assert (Path(doc["output_dir"]) / "metrics.csv").read_bytes() == expected_rows[cores]
     assert expected_rows[1] == expected_rows[2]
     finished = {r["run_id"] for r in read_metrics(doc["output_dir"]) if r["epoch"] == "1"}
@@ -537,7 +534,7 @@ def test_a_divergence_stops_the_jobs_still_running(tmp_path, monkeypatch):
 
     def train_job(dataset, runs, on_epoch=None, **kwargs):
         if runs[0][1].seed == 0:
-            return [TrainingDiverged("classifier loss became non-finite (nan)", step=0) for _ in runs]
+            return [TrainingDiverged("classifier half: overflow encountered in multiply", step=0) for _ in runs]
 
         def on_row(i, row):
             on_epoch(i, row)
@@ -676,7 +673,7 @@ def test_diverged_train_leaves_no_run_json(tmp_path, monkeypatch, rerun):
 
     def train_job(dataset, runs, **kwargs):
         if any(hp.seed == 1 for _, hp in runs):
-            return [TrainingDiverged("classifier loss became non-finite (nan)", step=0) for _ in runs]
+            return [TrainingDiverged("classifier half: overflow encountered in multiply", step=0) for _ in runs]
         return real_train_job(dataset, runs, **kwargs)
 
     monkeypatch.setattr(H, "train_job", train_job)
@@ -986,15 +983,40 @@ def test_cli_refuses_a_learning_rate_that_is_not_finite(tmp_path, capsys, name):
     path, _ = tiny_config(tmp_path, variant="ecgan", hyperparams=hyperparams)
     Path(path).write_text(Path(path).read_text().replace('"INF"', "1e400"))
     assert cli.main(["train", path]) == 2
-    assert capsys.readouterr().err == f"error: {name} must be finite and > 0, got inf\n"
+    assert capsys.readouterr().err == f"error: {name} must be finite in float32 and > 0, got inf\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, refused", [
+    ("lr_c", "lr_c must be finite in float32 and > 0"),
+    ("weight_decay", "weight_decay must be finite in float32 and >= 0"),
+    ("lambda", "lambda must be finite in float32 and >= 0"),
+    ("lambdas", "lambdas entries must be finite in float32 and >= 0"),
+    ("noise_sigma", "noise_sigma must be finite in float32 and >= 0"),
+])
+def test_cli_refuses_a_float_setting_that_float32_cannot_hold(tmp_path, capsys, field, refused):
+    # Each 1e300 was accepted: lr_c and weight_decay ended in a divergence
+    # at step 0 after writing metrics.csv, noise_sigma in "arithmetic left
+    # the finite floats", and lambda exited 0.
+    _, doc = tiny_config(tmp_path)
+    if field == "noise_sigma":
+        overrides = {"dataset": {**doc["dataset"], field: 1e300}}
+    elif field == "lambdas":
+        overrides = {"variant": "ecgan", field: [1e300]}
+    else:
+        overrides = {"variant": "ecgan", "hyperparams": {**doc["hyperparams"], field: 1e300}}
+    path, _ = tiny_config(tmp_path, **overrides)
+    assert cli.main(["train", path]) == 2
+    assert capsys.readouterr().err == f"error: {refused}, got 1e+300\n"
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name, half", [("lr_d", "gan"), ("lr_c", "classifier")])
 def test_cli_reports_an_overflowing_run_as_diverged(tmp_path, capsys, name, half):
-    # A finite learning rate too large for float32 overflowed: the run
-    # printed RuntimeWarnings and went on with non-finite weights.
-    hyperparams = {"batch_size": 4, "epochs": 1, "base_width": 8, "depth": 1, name: 1e300}
+    # A learning rate that float32 holds can still overflow in training:
+    # the run is a divergence, where it printed RuntimeWarnings and went on
+    # with non-finite weights.
+    hyperparams = {"batch_size": 4, "epochs": 1, "base_width": 8, "depth": 1, name: MAX_FLOAT}
     path, doc = tiny_config(tmp_path, variant="ecgan", hyperparams=hyperparams)
     assert cli.main(["train", path]) == 1
     err = capsys.readouterr().err
@@ -1013,7 +1035,7 @@ def test_cli_refuses_an_integer_too_large_for_a_float(tmp_path, capsys):
 
 def test_cli_divergence_exit_code(monkeypatch, capsys):
     def boom(config_path, seed_override=None):
-        raise TrainingDiverged("discriminator loss became non-finite (nan)", step=12)
+        raise TrainingDiverged("gan half: overflow encountered in multiply", step=12)
 
     monkeypatch.setattr(H, "cmd_train", boom)
     assert cli.main(["train", "whatever.json"]) == 1
@@ -1083,7 +1105,7 @@ def test_cli_rejects_a_config_noise_sigma_that_is_not_finite_and_non_negative(tm
     _, doc = tiny_config(tmp_path)
     path, _ = tiny_config(tmp_path, dataset={**doc["dataset"], "noise_sigma": sigma})
     assert cli.main(["train", path]) == 2
-    assert capsys.readouterr().err == f"error: noise_sigma must be finite and >= 0, got {sigma}\n"
+    assert capsys.readouterr().err == f"error: noise_sigma must be finite in float32 and >= 0, got {sigma}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import count_gan_children, count_half_steps, set_cores
+from conftest import count_gan_children, count_half_steps, overflowing_adam, set_cores
 
 import ecgan.data as D
 import ecgan.tensor as T
@@ -283,16 +283,15 @@ def test_generator_step_freezes_discriminator():
     assert any(n.endswith(".w") for n in moved)
 
 
-def test_divergence_raises_with_step():
-    _, _, cls = make_nets(seed=10)
-    dict(cls.parameters())["fc.w"].data[...] = 1e38
-    batch = tiny_batch(6, seed=10)
-    hp = HyperParams(lam=0.0, batch_size=6, epochs=1)
-    opt_c = Adam(cls.trainable_parameters(), 2e-4, betas=CLS_BETAS)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDiverged) as exc:
-            classifier_step(cls, None, batch, hp, opt_c, step=41)
-    assert exc.value.step == 41
+def test_divergence_raises_with_step(monkeypatch):
+    # The classifier overflows at step 3, the second of epoch 1, after
+    # epoch 0's row; numpy's state here is its default.
+    monkeypatch.setattr(TR, "Adam", overflowing_adam({CLS_BETAS: 3}))
+    rows = []
+    with pytest.raises(TrainingDiverged, match=r"^classifier half: overflow encountered in multiply \(step 3\)$") as exc:
+        train("baseline", tiny_dataset(4, seed=10), HyperParams(**PIPELINE_HP), on_epoch=rows.append)
+    assert exc.value.step == 3
+    assert [row["epoch"] for row in rows] == [0]
 
 
 # -- shared-discriminator step ---------------------------------------------------
@@ -418,12 +417,9 @@ def test_gan_half_in_a_child_trains_the_same_bytes(monkeypatch, variant, overrid
     (2, 2, "discriminator"),  # within a step, D runs before C
 ])
 def test_divergence_is_the_one_a_serial_run_raises(monkeypatch, d_step, c_step, who):
-    # The loss turns NaN inside the step; rebinding the D step itself would
-    # keep the GAN half in this process (see the next test).
-    nan_at = {"discriminator loss": d_step, "classifier loss": c_step}
-    real_check = TR._check_finite
-    monkeypatch.setattr(TR, "_check_finite", lambda value, step, what: real_check(
-        float("nan") if nan_at.get(what) == step else value, step, what))
+    # D's or C's update overflows inside the step; rebinding the D step
+    # itself would keep the GAN half in this process (see the next test).
+    monkeypatch.setattr(TR, "Adam", overflowing_adam({GAN_BETAS: d_step, CLS_BETAS: c_step}))
     c_calls = []
     real_c = TR.classifier_step
     monkeypatch.setattr(TR, "classifier_step", lambda *a, **k: c_calls.append(1) or real_c(*a, **k))
@@ -442,7 +438,9 @@ def test_divergence_is_the_one_a_serial_run_raises(monkeypatch, d_step, c_step, 
     assert len(started) == 1
     assert outcomes[1] == outcomes[2]
     message, step, rows, _ = outcomes[1]
-    assert message.startswith(who) and step == min(s for s in (d_step, c_step) if s is not None)
+    assert step == min(s for s in (d_step, c_step) if s is not None)
+    half = "gan" if who == "discriminator" else who
+    assert message == f"{half} half: overflow encountered in multiply (step {step})"
     assert [row["epoch"] for row in rows] == list(range(step // 2))  # two steps per epoch
 
 
@@ -556,9 +554,7 @@ def test_plan_jobs_never_shares_a_job_across_data():
 def test_lambda_zero_shares_the_baselines_classifier_half(monkeypatch, cores, diverges):
     ds = tiny_dataset(4, seed=34)
     hp = HyperParams(**{**PIPELINE_HP, "lam": 0.0})
-    real_check = TR._check_finite
-    monkeypatch.setattr(TR, "_check_finite", lambda value, step, what: real_check(
-        float("nan") if (what, step) == ("discriminator loss", diverges) else value, step, what))
+    monkeypatch.setattr(TR, "Adam", overflowing_adam({GAN_BETAS: diverges}))
     set_cores(monkeypatch, 1)
     baseline = train("baseline", ds, hp, eval_dataset=ds)
     ecgan_rows = []
@@ -596,13 +592,13 @@ def test_lambda_zero_shares_the_baselines_classifier_half(monkeypatch, cores, di
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_arithmetic_that_leaves_the_finite_floats_is_a_divergence(monkeypatch, cores):
-    # Where numpy raises FloatingPointError (as the CLI has it), a step
-    # that overflows stops the runs that read its half, in a GAN child too.
+    # numpy's state here is its default, which warns and goes on: `train`
+    # sets the state that raises, so a step that overflows stops the runs
+    # that read its half, in a GAN child too.
     set_cores(monkeypatch, cores)
-    hp = HyperParams(**{**PIPELINE_HP, "lr_d": 1e300})
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        with pytest.raises(TrainingDiverged, match=r"^gan half: overflow encountered in cast \(step 0\)$"):
-            train("ecgan", tiny_dataset(4, seed=36), hp)
+    hp = HyperParams(**{**PIPELINE_HP, "lr_d": T.MAX_FLOAT})
+    with pytest.raises(TrainingDiverged, match=r"^gan half: overflow encountered in divide \(step 0\)$"):
+        train("ecgan", tiny_dataset(4, seed=36), hp)
     assert multiprocessing.active_children() == []
 
 
