@@ -18,7 +18,7 @@ import numpy as np
 
 from . import pgm
 from .errors import DataError, FormatError, SpecError
-from .tensor import MAX_FLOAT, Rng, Tensor
+from .tensor import Rng, Tensor
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -310,8 +310,8 @@ def synth_shapes(n_per_class, num_classes, size, noise_sigma=NOISE_SIGMA, seed=0
         raise SpecError(f"size must be 16 or 32, got {size}")
     if n_per_class < 1:
         raise SpecError(f"n_per_class must be >= 1, got {n_per_class}")
-    if not 0 <= noise_sigma <= MAX_FLOAT:
-        raise SpecError(f"noise_sigma must be finite in float32 and >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma <= 1:  # pixels lie in [0, 1]; float32 noise draws overflow near its largest value
+        raise SpecError(f"noise_sigma must be in [0, 1], got {noise_sigma}")
     rng = Rng(seed, "synth_shapes")
     coords = (np.arange(size) + 0.5) / size * 2.0 - 1.0
     ys, xs = np.meshgrid(coords, coords, indexing="ij")

@@ -172,9 +172,6 @@ class Network:
     def trainable_parameters(self):
         return [(n, t) for n, t in self._params.items() if t.requires_grad]
 
-    def parameter_count(self):
-        return sum(t.size for _, t in self.trainable_parameters())
-
     def train(self):
         self.mode = "train"
         return self
@@ -445,13 +442,6 @@ class SharedDiscriminator(Network):
     def class_logits(self, x, update_stats=True):
         logits, _ = self.forward(x, update_stats)
         return logits
-
-    def trunk_parameter_names(self):
-        return [n for n, _ in self._params.items() if n.startswith("trunk.")]
-
-    def head_parameter_names(self, head):
-        prefix = {"class": "head_c", "disc": "head_d"}[head]
-        return [n for n, _ in self._params.items() if n.startswith(prefix)]
 
 
 def build_network(spec, source):

@@ -1,4 +1,5 @@
-"""Process helpers: one OpenBLAS thread per process, and `ChildStream`,
+"""Process helpers: one OpenBLAS thread per process, the name of the
+kernel OpenBLAS picked, and `ChildStream`,
 the one way the lab runs work in parallel. `harness.run_cells` runs each
 parallel job in a `ChildStream` that streams the job's history rows,
 `training.train_job` runs the GAN half of an ecgan run in one that streams
@@ -27,6 +28,21 @@ _BLAS_THREAD_CALLS = (
 )
 
 
+def _openblas_libraries():
+    """The OpenBLAS libraries among this process's mappings, loaded; none
+    without /proc/self/maps."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            yield ctypes.CDLL(path)
+        except OSError:  # a mapping that is no loadable library, e.g. "(deleted)"
+            continue
+
+
 def one_blas_thread():
     """Have OpenBLAS run every GEMM on the thread that calls it.
 
@@ -40,16 +56,7 @@ def one_blas_thread():
     0.1 s of CPU. The library is found among this process's mappings;
     without /proc/self/maps or an OpenBLAS this does nothing.
     """
-    try:
-        with open("/proc/self/maps") as f:
-            libraries = {line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line}
-    except OSError:
-        return
-    for path in libraries:
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:  # a mapping that is no loadable library, e.g. "(deleted)"
-            continue
+    for library in _openblas_libraries():
         for get_name, set_name in _BLAS_THREAD_CALLS:
             if hasattr(library, set_name):
                 getter, setter = getattr(library, get_name), getattr(library, set_name)
@@ -58,6 +65,20 @@ def one_blas_thread():
                 if getter() != 1:
                     setter(1)
                 break
+
+
+def blas_core_name():
+    """The name of the kernel that a `DYNAMIC_ARCH` OpenBLAS picked for this
+    CPU when it loaded, such as "SkylakeX", or None without /proc/self/maps
+    or an OpenBLAS. The kernel can change the last bits of a GEMM, and so
+    of everything trained."""
+    for library in _openblas_libraries():
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(library, name):
+                corename = getattr(library, name)
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 def _run_child(work, conn, reader):

@@ -169,10 +169,6 @@ class Tensor:
     def item(self):
         return float(self.data.item())
 
-    def detach(self):
-        """The same data, not copied, with no graph history."""
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 

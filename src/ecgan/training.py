@@ -27,11 +27,16 @@ a GAN half, and an ecgan run at lambda = 0 has a baseline run's
 classifier half. `train_job` trains such runs together, each half once.
 In one process every half of a job reads one stream of minibatches; a
 GAN half in a child makes its own copy from the same seed.
+
+Classifier halves that differ only in lambda and threshold are twins:
+until a step keeps a fake, each makes the supervised update, so
+`train_job` trains them as one half until their updates differ.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import itertools
 import os
 import time
@@ -350,14 +355,14 @@ def _gan_half(half, minibatches):
         yield loss_d, loss_g, detached_fakes(g, len(batch), rng)[0]
 
 
-def _classifier_update(half, batch, fakes):
-    sup, unsup, keep = classifier_step(half.nets["classifier"], fakes, batch, half.hp, half.opts["classifier"])
+def _classifier_update(half, hp, batch, fakes):
+    sup, unsup, keep = classifier_step(half.nets["classifier"], fakes, batch, hp, half.opts["classifier"])
     return StepMetrics(loss_c_sup=sup, loss_c_unsup=unsup, keep_rate=keep)
 
 
-def _shared_update(half, batch, fakes):
+def _shared_update(half, hp, batch, fakes):
     return shared_step(
-        half.nets["shared"], half.nets["generator"], batch, half.hp,
+        half.nets["shared"], half.nets["generator"], batch, hp,
         half.opts["shared"], half.opts["generator"], half.latents,
     )
 
@@ -365,8 +370,8 @@ def _shared_update(half, batch, fakes):
 class _Part(NamedTuple):
     """A half of a variant's run: its networks and the HyperParams fields
     that decide what it trains. A classifier half (every half but a GAN
-    half) also has `update(half, batch, fakes)`, its StepMetrics for
-    one minibatch."""
+    half) also has `update(half, hp, batch, fakes)`, its StepMetrics for
+    one minibatch with the settings of `hp`."""
 
     kind: str
     nets: tuple  # in the order of the networks dict and so of the checkpoint records
@@ -474,8 +479,8 @@ class _Half:
     """A half of a job's runs, built and trained once: its networks, their
     optimizers, and its StepMetrics this epoch."""
 
-    def __init__(self, part, dataset, hp, reads_fakes=False):
-        self.part, self.hp, self.reads_fakes = part, hp, reads_fakes
+    def __init__(self, part, dataset, hp):
+        self.part = part
         self.nets, self.opts = {}, {}
         for net in part.nets:
             spec = NetworkSpec(
@@ -492,14 +497,74 @@ class _Half:
         self.latents = Rng(hp.seed, "latent")  # read by a GAN half and by a shared run
         self.steps = []
 
+    def save(self):
+        """Copies of what a step changes: each network's arrays, each
+        optimizer's step count and moments, and the StepMetrics so far."""
+        return (
+            {key: net.state() for key, net in self.nets.items()},
+            {key: (opt.step_count, _copies(opt.m), _copies(opt.v)) for key, opt in self.opts.items()},
+            list(self.steps),
+        )
+
+    def restored(self, saved):
+        """A half of its own in the state `saved` (see `save`), with this
+        one's part."""
+        states, moments, steps = saved
+        twin = copy.copy(self)
+        twin.nets, twin.opts, twin.steps = {}, {}, steps
+        for key, opt in self.opts.items():
+            twin.nets[key] = build_network(self.nets[key].spec, states[key])
+            twin.opts[key] = Adam(twin.nets[key].trainable_parameters(), opt.lr, betas=(opt.beta1, opt.beta2))
+            twin.opts[key].step_count, twin.opts[key].m, twin.opts[key].v = moments[key]
+        return twin
+
+
+def _copies(arrays):
+    return {name: array.copy() for name, array in arrays.items()}
+
 
 class _Run:
-    """A run of a job: its halves, its history, and the error that stopped it."""
+    """A run of a job: its halves, its classifier key and settings, its
+    history, and the error that stopped it."""
 
-    def __init__(self, classifier, gan):
-        self.classifier, self.gan = classifier, gan
+    def __init__(self, classifier, gan, key, hp):
+        self.classifier, self.gan, self.key, self.hp = classifier, gan, key, hp
+        self.reads_fakes = gan is not None and hp.lam > 0
         self.error = None
         self.history = []
+
+
+def _twin_step(half, runs, batch, fakes, step):
+    """One step of the classifier half `half` for `runs`, the runs that read
+    it and have not stopped; returns the half that some split off into, or
+    None.
+
+    The update is that of the fake reader with the lowest threshold, which
+    keeps a superset of every other reader's fakes: if it keeps none, it is
+    every twin's update. If it keeps some or diverges, the runs with another
+    classifier key split off into a half restored from the state before the
+    step, which takes the step again the same way. A divergence stops the
+    runs of the key that raised.
+    """
+    lead = min(runs, key=lambda run: (not run.reads_fakes, run.hp.threshold))
+    twins = [run for run in runs if run.key != lead.key]
+    saved = half.save() if twins else None
+    try:
+        metrics = half.part.update(half, lead.hp, batch, fakes if lead.reads_fakes else None)
+    except FloatingPointError as e:
+        for run in runs:
+            if run.key == lead.key:
+                run.error = _diverged(e, half, step)
+    else:
+        half.steps.append(metrics)
+        if metrics.keep_rate == 0:
+            return None
+    if not twins:
+        return None
+    split = half.restored(saved)
+    for run in twins:
+        run.classifier = split
+    return split
 
 
 def _epoch_means(steps):
@@ -561,6 +626,13 @@ def train_job(dataset, runs, eval_dataset=None, on_epoch=None):
     minibatch the job's GAN half, if any, makes one item, and every
     classifier half that reads fakes takes them from it.
 
+    Classifier halves whose keys agree but for the fakes they read (the GAN
+    key, lambda and threshold) are twins: until a step keeps a fake, each
+    makes the supervised update. Twins train as one half until the first
+    step whose updates differ, where those that differ split off from a
+    copy of the state before it (see `_twin_step`). Each half is evaluated
+    once an epoch, for all the runs that read it.
+
     The runs must share their minibatches (the `_STREAM` fields) and at most
     one GAN half. Returns per run its TrainResult, or the TrainingDiverged
     that stopped it: a run stops at the first divergence of one of its
@@ -586,13 +658,14 @@ def train_job(dataset, runs, eval_dataset=None, on_epoch=None):
     members = []
     for (variant, hp), (gan_key, classifier_key) in zip(runs, keys):
         classifier, gan_part = _VARIANTS[variant]
+        twins = classifier_key[:2] + classifier_key[-1:]  # the key without the fakes it reads
         if gan_key is not None and gan_key not in halves:
             halves[gan_key] = _Half(gan_part, dataset, hp)
-        if classifier_key not in halves:
-            halves[classifier_key] = _Half(classifier, dataset, hp, reads_fakes=gan_key is not None and hp.lam > 0)
-        members.append(_Run(halves[classifier_key], halves.get(gan_key)))
+        if twins not in halves:
+            halves[twins] = _Half(classifier, dataset, hp)
+        members.append(_Run(halves[twins], halves.get(gan_key), classifier_key, hp))
     gan = next((half for half in halves.values() if half.part.kind == "gan"), None)
-    classifiers = [half for half in halves.values() if half is not gan]
+    classifiers = [half for half in halves.values() if half is not gan]  # and each half that splits off
 
     def readers(half):
         """The runs that read `half` and have not stopped yet."""
@@ -610,13 +683,11 @@ def train_job(dataset, runs, eval_dataset=None, on_epoch=None):
                     except FloatingPointError as e:
                         for run in readers(gan):
                             run.error = _diverged(e, gan, step)
-                for half in classifiers:
-                    if readers(half):
-                        try:
-                            half.steps.append(half.part.update(half, batch, fakes if half.reads_fakes else None))
-                        except FloatingPointError as e:
-                            for run in readers(half):
-                                run.error = _diverged(e, half, step)
+                for half in list(classifiers):
+                    while half is not None and (live := readers(half)):
+                        half = _twin_step(half, live, batch, fakes, step)
+                        if half is not None:
+                            classifiers.append(half)
             if all(run.error is not None for run in members):
                 break
             accuracy = {}
@@ -636,8 +707,9 @@ def train_job(dataset, runs, eval_dataset=None, on_epoch=None):
                     run.history.append(row)
                     if on_epoch is not None:
                         on_epoch(i, row)
-            for half in halves.values():
-                half.steps = []
+            for half in (gan, *classifiers):
+                if half is not None:
+                    half.steps = []
 
     seconds = time.perf_counter() - start
     return [

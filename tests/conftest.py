@@ -19,6 +19,14 @@ settings.register_profile(
 settings.load_profile("default")
 
 
+def pytest_report_header(config):
+    """The OpenBLAS kernel the session runs on: results can differ between
+    kernels in their last bits, and so can the study's criteria."""
+    from ecgan.processes import blas_core_name
+
+    return f"openblas kernel: {blas_core_name()}"
+
+
 @pytest.fixture(autouse=True)
 def no_children_left():
     """Fail a test that leaves a child process running."""
@@ -66,8 +74,9 @@ def count_half_steps(monkeypatch):
     """A Counter of the steps this process trains: "gan" gets one per D step,
     so one per minibatch of each GAN half, and "classifier" one per
     classifier step, one per minibatch of each ecgan or baseline classifier
-    half. Rebinding the D step keeps a GAN half in the process that trains
-    its job; with one core, that is this one."""
+    half, where twins that have not split count as one (see
+    `training.train_job`). Rebinding the D step keeps a GAN half in the
+    process that trains its job; with one core, that is this one."""
     from ecgan import training
 
     counts = Counter()

@@ -5,9 +5,12 @@ One test per numbered criterion, in order; each prints a single
 output) with the measured values next to their tolerances. The synthetic
 study protocol (criteria 5-8) shares one session-scoped run cache: its 21
 (variant, lambda, seed) cells train once, up front, on every usable core;
-the ecgan cells at lambda 0.1 and 1.0 of a seed share one GAN half.
-Criteria 5-7 also print their per-seed evidence (`paired_evidence`), which
-no pass rule reads.
+the ecgan cells at lambda 0.1 and 1.0 of a seed share one GAN half, and
+one classifier half until their first kept fake. Criteria 5-7 also print
+their per-seed evidence (`paired_evidence`), which no pass rule reads, and
+criteria 5-8 the path of the cells' histories, a metrics.csv under the
+session's temp dir: its keep_rate column shows in which epoch each seed's
+lambdas split.
 """
 
 import itertools
@@ -28,7 +31,7 @@ from ecgan.checkpoint import load_checkpoint, save_checkpoint
 from ecgan.data import load_idx, synth_shapes, write_idx
 from ecgan.errors import FormatError
 from ecgan.config import ExperimentConfig
-from ecgan.harness import Cell, cmd_generate, cmd_train, run_cells
+from ecgan.harness import Cell, _MetricsWriter, cmd_generate, cmd_train, run_cells
 from ecgan.networks import (
     LATENT_DIM,
     NetworkSpec,
@@ -323,14 +326,19 @@ PROTOCOL_CELLS = [
 
 
 @pytest.fixture(scope="session")
-def protocol():
+def protocol(tmp_path_factory):
     p = PROTOCOL
     train_ds = synth_shapes(67, p["classes"], p["size"], p["noise_sigma"],
                             seed=p["train_seed"]).subset(range(200))
     test_ds = synth_shapes(167, p["classes"], p["size"], p["noise_sigma"],
                            seed=p["test_seed"]).subset(range(500))
     cfg = ExperimentConfig(hyperparams={"epochs": 15})  # HyperParams(lam, epochs=15, seed) per cell
-    results = run_cells(cfg, train_ds, test_ds, PROTOCOL_CELLS)
+    metrics = tmp_path_factory.mktemp("protocol") / "metrics.csv"
+    writer = _MetricsWriter(str(metrics))
+    try:
+        results = run_cells(cfg, train_ds, test_ds, PROTOCOL_CELLS, writer=writer)
+    finally:
+        writer.close()
     cache = {(c.variant, c.lam, c.seed): r for c, r in zip(PROTOCOL_CELLS, results)}
     wall = {key: r.seconds for key, r in cache.items()}
 
@@ -340,7 +348,7 @@ def protocol():
     def final_acc(variant, lam, seed):
         return run(variant, lam, seed).history[-1]["test_acc"]
 
-    return SimpleNamespace(run=run, acc=final_acc, wall=wall, test_ds=test_ds)
+    return SimpleNamespace(run=run, acc=final_acc, wall=wall, test_ds=test_ds, histories=f"; histories in {metrics}")
 
 
 def paired_evidence(a, b, names, n_test):
@@ -385,7 +393,7 @@ def test_criterion_5_directional_study(protocol):
         ok,
         f"mean acc ecgan {np.mean(ec):.4f} >= baseline {np.mean(base):.4f}, "
         f"median delta {np.median(deltas):+.4f} > 0, {elapsed:.0f}s < 900s; "
-        + paired_evidence(ec, base, ("ecgan", "baseline"), len(protocol.test_ds)),
+        + paired_evidence(ec, base, ("ecgan", "baseline"), len(protocol.test_ds)) + protocol.histories,
     )
 
 
@@ -397,7 +405,7 @@ def test_criterion_6_shared_architecture(protocol):
         6,
         ok,
         f"mean acc ecgan {np.mean(ec):.4f} >= shared {np.mean(shared):.4f} - 0.01; "
-        + paired_evidence(ec, shared, ("ecgan", "shared"), len(protocol.test_ds)),
+        + paired_evidence(ec, shared, ("ecgan", "shared"), len(protocol.test_ds)) + protocol.histories,
     )
 
 
@@ -416,7 +424,7 @@ def test_criterion_7_lambda_sweep_shape(protocol):
         f"mean acc lambda=0.1 {np.mean(lam01):.4f} > lambda=0 {np.mean(lam0):.4f} "
         f"and > lambda=1.0 {np.mean(lam10):.4f}; "
         + paired_evidence(lam01, lam0, ("lambda=0.1", "lambda=0"), len(protocol.test_ds)) + "; "
-        + paired_evidence(lam01, lam10, ("lambda=0.1", "lambda=1.0"), len(protocol.test_ds)),
+        + paired_evidence(lam01, lam10, ("lambda=0.1", "lambda=1.0"), len(protocol.test_ds)) + protocol.histories,
     )
 
 
@@ -438,7 +446,7 @@ def test_criterion_8_conditional_balance(protocol):
         8,
         spread <= 0.15,
         f"class frequencies {[round(float(f), 3) for f in freq]} within +/-15pp of uniform "
-        f"(max dev {spread:.3f})",
+        f"(max dev {spread:.3f})" + protocol.histories,
     )
 
 

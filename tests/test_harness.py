@@ -415,19 +415,22 @@ def sweep_cells(cfg, axis):
 @pytest.mark.parametrize("diverges", ["classifier", "gan"])
 def test_divergence_inside_a_job_is_that_of_one_cell_at_a_time(tmp_path, monkeypatch, diverges):
     # The three lambdas share a job's GAN half; lambda 0 shares its
-    # classifier half with the baseline. Two steps per epoch.
+    # classifier half with the baseline. Two steps per epoch. At threshold 1
+    # no fake is kept, so the lambdas' classifier halves train as one, as
+    # twins (see `training.train_job`).
     path, doc = tiny_config(
         tmp_path, variant="ecgan", lambdas=[0.0, 0.1, 1.0], seeds=[0],
         hyperparams={"batch_size": 4, "epochs": 2, "base_width": 8, "depth": 1,
-                     "lr_c": 2e-3, "threshold": 0.4},
+                     "lr_c": 2e-3, "threshold": 1.0},
     )
     if diverges == "classifier":
-        # lambda 1.0's classifier half, at its third update (step 2, in
-        # epoch 1): lambda 0.1 finishes
+        # the classifier half of each lambda above 0, at its third update
+        # (step 2, in epoch 1): the twins' one update raises, and the
+        # baseline and lambda 0 go on from the state before it
         real_c = training.classifier_step
 
         def classifier_step(c, fakes, batch, hp, opt_c):
-            if hp.lam == 1.0 and opt_c.step_count == 2:
+            if hp.lam > 0 and opt_c.step_count == 2:
                 raise FloatingPointError("overflow encountered in multiply")
             return real_c(c, fakes, batch, hp, opt_c)
 
@@ -455,7 +458,7 @@ def test_divergence_inside_a_job_is_that_of_one_cell_at_a_time(tmp_path, monkeyp
         assert (Path(doc["output_dir"]) / "metrics.csv").read_bytes() == expected_rows[cores]
     assert expected_rows[1] == expected_rows[2]
     finished = {r["run_id"] for r in read_metrics(doc["output_dir"]) if r["epoch"] == "1"}
-    assert ("ecgan_p100_l0.1_s0" if diverges == "classifier" else "baseline_p100_l0_s0") in finished
+    assert ("ecgan_p100_l0_s0" if diverges == "classifier" else "baseline_p100_l0_s0") in finished
 
 
 def test_a_job_has_at_most_one_gan_half(tmp_path, monkeypatch):
@@ -477,12 +480,21 @@ def test_a_job_has_at_most_one_gan_half(tmp_path, monkeypatch):
 def test_a_lambda_sweep_trains_each_half_once(tmp_path, monkeypatch):
     # One minibatch: ecgan lambda 0 shares the baseline's classifier half,
     # and the three lambdas share a GAN half. One cell at a time trains 3
-    # GAN halves and 4 classifier halves.
-    path, _ = tiny_config(tmp_path, variant="ecgan", lambdas=[0.0, 0.1, 1.0])
+    # GAN halves and 4 classifier halves. The lambdas' classifier halves are
+    # twins (see `training.train_job`): at threshold 0.7 two classes keep
+    # fakes at once, and each lambda updates its own; at threshold 1 none is
+    # kept, and the twins make one update.
     steps = count_half_steps(monkeypatch)
     set_cores(monkeypatch, 1)
-    assert H.cmd_sweep(path, "lambda") == 0
-    assert steps == {"gan": 1, "classifier": 3}
+    for threshold, classifier_steps in ((0.7, 3), (1.0, 1)):
+        (tmp_path / str(threshold)).mkdir()
+        path, _ = tiny_config(
+            tmp_path / str(threshold), variant="ecgan", lambdas=[0.0, 0.1, 1.0],
+            hyperparams={"batch_size": 8, "epochs": 1, "base_width": 8, "depth": 1, "threshold": threshold},
+        )
+        steps.clear()
+        assert H.cmd_sweep(path, "lambda") == 0
+        assert steps == {"gan": 1, "classifier": classifier_steps}
 
 
 def test_rows_reach_metrics_csv_while_their_job_runs(tmp_path, monkeypatch):
@@ -992,7 +1004,7 @@ def test_cli_refuses_a_learning_rate_that_is_not_finite(tmp_path, capsys, name):
     ("weight_decay", "weight_decay must be finite in float32 and >= 0"),
     ("lambda", "lambda must be finite in float32 and >= 0"),
     ("lambdas", "lambdas entries must be finite in float32 and >= 0"),
-    ("noise_sigma", "noise_sigma must be finite in float32 and >= 0"),
+    ("noise_sigma", "noise_sigma must be in [0, 1]"),
 ])
 def test_cli_refuses_a_float_setting_that_float32_cannot_hold(tmp_path, capsys, field, refused):
     # Each 1e300 was accepted: lr_c and weight_decay ended in a divergence
@@ -1105,7 +1117,25 @@ def test_cli_rejects_a_config_noise_sigma_that_is_not_finite_and_non_negative(tm
     _, doc = tiny_config(tmp_path)
     path, _ = tiny_config(tmp_path, dataset={**doc["dataset"], "noise_sigma": sigma})
     assert cli.main(["train", path]) == 2
-    assert capsys.readouterr().err == f"error: noise_sigma must be finite in float32 and >= 0, got {sigma}\n"
+    assert capsys.readouterr().err == f"error: noise_sigma must be in [0, 1], got {sigma}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sigma", [1.5, 3e38])
+def test_cli_refuses_a_noise_sigma_above_one(tmp_path, capsys, sigma):
+    # 3e38 is below float32's largest value, but its noise, drawn in
+    # float32, was not: eval ended in "arithmetic left the finite floats",
+    # exit 1. Pixels lie in [0, 1], so more noise only saturates the clip.
+    ckpt = tmp_path / "c.ckpt"
+    spec = NetworkSpec(role="classifier", image_size=16, channels=1, num_classes=2, base_width=8)
+    save_checkpoint(ckpt, {"classifier": build_network(spec, Rng(0, "init"))})
+    data = f"synth:n_per_class=2,classes=2,size=16,noise_sigma={sigma}"
+    assert cli.main(["eval", str(ckpt), "--data", data]) == 2
+    assert capsys.readouterr().err == f"error: noise_sigma must be in [0, 1], got {sigma}\n"
+    _, doc = tiny_config(tmp_path)
+    path, _ = tiny_config(tmp_path, dataset={**doc["dataset"], "noise_sigma": sigma})
+    assert cli.main(["train", path]) == 2
+    assert capsys.readouterr().err == f"error: noise_sigma must be in [0, 1], got {sigma}\n"
     assert not (tmp_path / "out").exists()
 
 

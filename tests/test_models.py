@@ -232,7 +232,7 @@ def test_eighteen_layer_parameter_count():
             cin = cout
     total += cin * 10 + 10  # fc
     assert total == 11_173_962
-    assert c.parameter_count() == total
+    assert sum(t.size for _, t in c.trainable_parameters()) == total
 
 
 def test_dcgan_conv_init_scale():
@@ -340,23 +340,22 @@ def test_shared_discriminator_gradient_routing():
     logits, prob = sd(x)
     T.backward(T.cross_entropy(logits, np.array([0, 1, 2, 0])))
     gots = {n: t.grad is not None for n, t in sd.trainable_parameters()}
-    assert all(gots[n] for n in sd.trunk_parameter_names() if not n.endswith(("running_mean", "running_var")))
-    assert all(gots[n] for n in sd.head_parameter_names("class"))
-    assert not any(gots[n] for n in sd.head_parameter_names("disc"))
+    assert all(got for n, got in gots.items() if n.startswith(("trunk.", "head_c")))
+    assert not any(got for n, got in gots.items() if n.startswith("head_d"))
 
     for _, t in sd.trainable_parameters():
         t.grad = None
     logits, prob = sd(x)
     T.backward(T.bce(prob, 1.0))
     gots = {n: t.grad is not None for n, t in sd.trainable_parameters()}
-    assert all(gots[n] for n in sd.head_parameter_names("disc"))
-    assert not any(gots[n] for n in sd.head_parameter_names("class"))
+    assert all(got for n, got in gots.items() if n.startswith("head_d"))
+    assert not any(got for n, got in gots.items() if n.startswith("head_c"))
 
 
 def test_shared_trunk_matches_discriminator_trunk_size():
     sd = build("shared_discriminator", size=32, width=16)
     d = build("discriminator", size=32, width=16)
-    trunk = sum(sd._params[n].size for n in sd.trunk_parameter_names() if sd._params[n].requires_grad)
+    trunk = sum(t.size for n, t in sd.trainable_parameters() if n.startswith("trunk."))
     dtrunk = sum(t.size for n, t in d.trainable_parameters() if not n.startswith("final"))
     assert trunk == dtrunk == 41_424
 

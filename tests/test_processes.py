@@ -1,13 +1,15 @@
 """`ChildStream`, the forked child that carries a parallel job or an ecgan
 run's GAN half."""
 
+import io
 import multiprocessing
 import os
 from multiprocessing.connection import wait
 
 import pytest
 
-from ecgan.processes import ChildStream, one_blas_thread
+from ecgan import processes
+from ecgan.processes import ChildStream, blas_core_name, one_blas_thread
 
 
 def test_items_come_first_then_the_return_value():
@@ -95,3 +97,15 @@ def test_a_child_starts_no_blas_thread():
     one_blas_thread()
     with ChildStream(lambda send: send(len(os.listdir(f"/proc/{os.getpid()}/task")))) as stream:
         assert next(stream) == 1
+
+
+def test_the_blas_core_name_is_the_kernel_openblas_picked():
+    # numpy, which the package imports, maps its OpenBLAS into this process.
+    name = blas_core_name()
+    assert isinstance(name, str) and name
+
+
+def test_no_blas_core_name_without_an_openblas(monkeypatch):
+    maps = "7f00-7f01 r-xp 00000000 08:01 42 /usr/lib/libc.so.6\n"
+    monkeypatch.setattr(processes, "open", lambda path: io.StringIO(maps), raising=False)
+    assert blas_core_name() is None

@@ -590,6 +590,137 @@ def test_lambda_zero_shares_the_baselines_classifier_half(monkeypatch, cores, di
         assert len(started) == 1
 
 
+# Twins: the classifier halves of a lambda sweep's job, which make the
+# supervised update until a step keeps a fake. On tiny_dataset(4, seed=33)
+# at seed 4 (two steps per epoch), threshold 0.8 keeps the first at step 1.
+TWIN_HP = dict(batch_size=6, epochs=2, seed=4, base_width=8, depth=1)
+
+
+def sweep_job(threshold, lambdas=(0.0, 0.1, 1.0)):
+    """The runs of a lambda sweep's job at `threshold`: the baseline, then
+    ecgan at each of `lambdas`."""
+    return [("baseline", HyperParams(**TWIN_HP, lam=0.0, threshold=threshold))] + [
+        ("ecgan", HyperParams(**TWIN_HP, lam=lam, threshold=threshold)) for lam in lambdas
+    ]
+
+
+def watch_classifier_steps(monkeypatch):
+    """A list that gets (hp, keep rate) for each classifier step that this
+    process trains and that does not diverge. The GAN half still trains in a
+    child on two cores."""
+    calls = []
+    real = TR.classifier_step
+
+    def classifier_step(c, fakes, batch, hp, opt_c):
+        out = real(c, fakes, batch, hp, opt_c)
+        calls.append((hp, out[2]))
+        return out
+
+    monkeypatch.setattr(TR, "classifier_step", classifier_step)
+    return calls
+
+
+def train_alone(ds, runs):
+    """Each of `runs` trained by itself on one core: its TrainResult, or the
+    TrainingDiverged that stopped it."""
+    results = []
+    for variant, hp in runs:
+        try:
+            results.append(train(variant, ds, hp, eval_dataset=ds))
+        except TrainingDiverged as e:
+            results.append(e)
+    return results
+
+
+def assert_same_outcomes(alone, job):
+    for a, b in zip(alone, job, strict=True):
+        if isinstance(a, TrainingDiverged):
+            assert type(b) is TrainingDiverged and (str(b), b.step) == (str(a), a.step)
+        else:
+            assert_same_run(a, b)
+
+
+def test_twins_that_keep_no_fake_train_as_one_half(monkeypatch):
+    # At threshold 1 no fake can be kept: the baseline and the three
+    # lambdas make one classifier update a step, and their half is
+    # evaluated once an epoch on each data set.
+    ds = tiny_dataset(4, seed=33)
+    runs = sweep_job(1.0)
+    set_cores(monkeypatch, 1)
+    alone = train_alone(ds, runs)
+    steps = count_half_steps(monkeypatch)
+    evaluated = []
+    real_evaluate = TR.evaluate
+    monkeypatch.setattr(TR, "evaluate", lambda net, dataset: evaluated.append(net) or real_evaluate(net, dataset))
+    job = TR.train_job(ds, runs, eval_dataset=ds)
+    assert steps == {"gan": 4, "classifier": 4}
+    assert len(evaluated) == 2 * 2 and all(net is evaluated[0] for net in evaluated)
+    assert_same_outcomes(alone, job)
+    assert all(result.networks["classifier"] is job[0].networks["classifier"] for result in job)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("threshold, first_kept", [(0.0, 0), (0.8, 1), (1.0, None)], ids=["step-0", "mid-run", "never"])
+def test_twins_split_at_their_first_kept_fake(monkeypatch, cores, threshold, first_kept):
+    ds = tiny_dataset(4, seed=33)
+    runs = sweep_job(threshold)
+    set_cores(monkeypatch, 1)
+    calls = watch_classifier_steps(monkeypatch)
+    alone = train_alone(ds, runs)
+    kept = [keep > 0 for hp, keep in calls if hp.lam == 0.1]
+    assert next((step for step, keep in enumerate(kept) if keep), None) == first_kept
+    calls.clear()
+    started = count_gan_children(monkeypatch)
+    set_cores(monkeypatch, cores)
+    job = TR.train_job(ds, runs, eval_dataset=ds)
+    assert multiprocessing.active_children() == []
+    assert len(started) == (cores == 2)
+    # One update a step until the first kept fake; from there one for each
+    # lambda, with the baseline on lambda 0's.
+    shared = 4 if first_kept is None else first_kept
+    assert len(calls) == shared + 3 * (4 - shared)
+    assert_same_outcomes(alone, job)
+
+
+def test_twins_at_two_thresholds_run_the_lower(monkeypatch):
+    # The lower threshold keeps a superset of the fakes the higher one
+    # keeps, so while it keeps none, neither does the other. Here it keeps
+    # its first at step 1; the higher threshold keeps none. The job lists
+    # the higher one first.
+    ds = tiny_dataset(4, seed=33)
+    runs = [("ecgan", HyperParams(**TWIN_HP, lam=0.1, threshold=1.0)),
+            ("ecgan", HyperParams(**TWIN_HP, lam=1.0, threshold=0.8))]
+    set_cores(monkeypatch, 1)
+    alone = train_alone(ds, runs)
+    calls = watch_classifier_steps(monkeypatch)
+    job = TR.train_job(ds, runs, eval_dataset=ds)
+    assert [hp.threshold for hp, _ in calls] == [0.8, 0.8, 1.0, 0.8, 1.0, 0.8, 1.0]
+    assert [keep > 0 for _, keep in calls[:3]] == [False, True, False]
+    assert_same_outcomes(alone, job)
+
+
+@pytest.mark.parametrize("fault", ["shared-update", "one-lambda"])
+def test_a_twin_divergence_stops_the_runs_it_stops_alone(monkeypatch, fault):
+    ds = tiny_dataset(4, seed=33)
+    if fault == "shared-update":
+        # Every classifier optimizer overflows at its update of step 2, where
+        # the twins still make one update: each run stops there.
+        monkeypatch.setattr(TR, "Adam", overflowing_adam({CLS_BETAS: 2}))
+        runs, stops = sweep_job(1.0), [True] * 4
+    else:
+        # Lambda at float32's largest value overflows at its first kept fake,
+        # at step 1; as the first of the job's runs there it makes the update
+        # that runs first, and the other runs go on.
+        runs, stops = sweep_job(0.8, lambdas=(T.MAX_FLOAT, 0.0, 0.1)), [False, True, False, False]
+    set_cores(monkeypatch, 1)
+    alone = train_alone(ds, runs)
+    assert [isinstance(result, TrainingDiverged) for result in alone] == stops
+    assert {result.step for result in alone if isinstance(result, TrainingDiverged)} == {
+        2 if fault == "shared-update" else 1
+    }
+    assert_same_outcomes(alone, TR.train_job(ds, runs, eval_dataset=ds))
+
+
 @pytest.mark.parametrize("cores", [1, 2])
 def test_arithmetic_that_leaves_the_finite_floats_is_a_divergence(monkeypatch, cores):
     # numpy's state here is its default, which warns and goes on: `train`
