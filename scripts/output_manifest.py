@@ -13,13 +13,18 @@ The set, all at 2 epochs, threshold 0.4 and lr_c 2e-3, so fakes are kept:
 variant at lambda 0 with augment on; and `train` of the ecgan variant with
 one seed on an IDX pair per split that this script writes itself (square
 16-px images in both), which covers `load_idx` and the check that the
-splits match. Then `eval` (its standard output
-written to `eval.txt`) and `generate` (a 16-image grid, `generate.pgm`)
-read one checkpoint the ecgan `train` wrote, `eval` of one checkpoint
-the shared `train` wrote goes to `eval_shared.txt`, and `generate --class 1`
-of one checkpoint the conditional `train` wrote goes to
-`generate_class1.pgm`, so the set also covers restoring a network and the
-eval-mode forwards of the classifier, the shared discriminator and the
+splits match; and `train` of the ecgan variant with one seed on a PGM
+directory per split that this script writes too (`dir` source at 16 px):
+P5 files stored at 12x12 and 24x20 px, so each is resized, one header with
+a comment, and one P6 file read at one channel. Then `eval` (its standard
+output written to `eval.txt`) and `generate` (a 16-image grid,
+`generate.pgm`) read one checkpoint the ecgan `train` wrote, `eval` of one
+checkpoint the shared `train` wrote goes to `eval_shared.txt`, `generate
+--class 1` of one checkpoint the conditional `train` wrote goes to
+`generate_class1.pgm`, and `eval --data dir:...` of the test directory,
+by one checkpoint the `dir` train wrote, goes to `eval_dir.txt`. So the
+set also covers every data source, restoring a network and the eval-mode
+forwards of the classifier, the shared discriminator and the
 unconditional and conditional generators.
 
     python scripts/output_manifest.py --src . --out OUT [--one-core]
@@ -48,12 +53,15 @@ HYPERPARAMS = {"batch_size": 4, "epochs": 2, "base_width": 8, "depth": 1, "thres
 CHECKPOINT = "runs/train_ecgan/checkpoints/ecgan_p100_l0.1_s0.ckpt"
 SHARED_CHECKPOINT = "runs/train_shared/checkpoints/shared_p100_l0.1_s0.ckpt"
 CONDITIONAL_CHECKPOINT = "runs/train_ecgan_conditional/checkpoints/ecgan_conditional_p100_l0.1_s0.ckpt"
+DIR_CHECKPOINT = "runs/train_dir/checkpoints/ecgan_p100_l0.1_s0.ckpt"
 EVAL_DATA = "synth:n_per_class=50,classes=3,size=16,seed=5"
+EVAL_DIR_DATA = "dir:root=data/dir-test,size=16"
 IDX_SIZE = 16
 IDX_DATASET = {
     "source": "idx", "images": "data/train-images.idx", "labels": "data/train-labels.idx",
     "test_images": "data/test-images.idx", "test_labels": "data/test-labels.idx",
 }
+DIR_DATASET = {"source": "dir", "root": "data/dir-train", "test_root": "data/dir-test", "size": 16}
 
 
 def write_idx(out, split, n, seed):
@@ -67,6 +75,30 @@ def write_idx(out, split, n, seed):
     )
     (out / f"data/{split}-images.idx").write_bytes(struct.pack(">IIII", 0x803, n, IDX_SIZE, IDX_SIZE) + pixels)
     (out / f"data/{split}-labels.idx").write_bytes(struct.pack(">II", 0x801, n) + bytes(labels))
+
+
+def write_image_dir(out, split, n, seed):
+    """A PGM directory `out/data/dir-<split>` of `n` images and its
+    labels.csv, class k noisy around gray level 64(k+1). Odd images are
+    stored at 12x12 px and even ones at 24 wide by 20 high; the first
+    header holds a comment, and the second image is a P6 file whose red,
+    green and blue differ. Like `write_idx`, the bytes come from this script."""
+    root = out / f"data/dir-{split}"
+    root.mkdir()
+    rnd = random.Random(seed)
+    rows = ["filename,label"]
+    for i in range(n):
+        k = i % DATASET["classes"]
+        width, height = (12, 12) if i % 2 else (24, 20)
+        offsets = (-24, 0, 24) if i == 1 else (0,)  # red, green and blue, or gray
+        gray = [64 * (k + 1) + rnd.randint(-48, 48) for _ in range(width * height)]
+        pixels = bytes(min(255, max(0, g + o)) for g in gray for o in offsets)
+        comment = b"# a comment\n" if i == 0 else b""
+        magic, suffix = (b"P6", "ppm") if i == 1 else (b"P5", "pgm")
+        name = f"{i:02d}.{suffix}"
+        (root / name).write_bytes(b"%s\n%s%d %d\n255\n" % (magic, comment, width, height) + pixels)
+        rows.append(f"{name},{k}")
+    (root / "labels.csv").write_text("\n".join(rows) + "\n")
 
 
 def commands():
@@ -86,6 +118,10 @@ def commands():
         **base, "dataset": IDX_DATASET, "seeds": [0], "dataset_percent": [100], "variant": "ecgan",
         "hyperparams": HYPERPARAMS,
     }, ["train"]
+    yield "train_dir", {
+        **base, "dataset": DIR_DATASET, "seeds": [0], "dataset_percent": [100], "variant": "ecgan",
+        "hyperparams": HYPERPARAMS,
+    }, ["train"]
 
 
 def main():
@@ -102,6 +138,7 @@ def main():
     (out / "data").mkdir()
     for split, n, seed in (("train", 24, 0), ("test", 12, 1)):
         write_idx(out, split, n, seed)
+        write_image_dir(out, split, n, seed)
     env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve() / "src")}
     env.pop("ECGAN_SEED", None)
 
@@ -112,9 +149,13 @@ def main():
         config = out / "configs" / f"{name}.json"
         config.write_text(json.dumps({**doc, "output_dir": f"runs/{name}"}, indent=2) + "\n")
         ecgan(argv[0], str(config.relative_to(out)), *argv[1:])
-    for name, checkpoint in (("eval.txt", CHECKPOINT), ("eval_shared.txt", SHARED_CHECKPOINT)):
+    for name, checkpoint, data in (
+        ("eval.txt", CHECKPOINT, EVAL_DATA),
+        ("eval_shared.txt", SHARED_CHECKPOINT, EVAL_DATA),
+        ("eval_dir.txt", DIR_CHECKPOINT, EVAL_DIR_DATA),
+    ):
         with open(out / name, "w") as f:
-            ecgan("eval", checkpoint, "--data", EVAL_DATA, stdout=f)
+            ecgan("eval", checkpoint, "--data", data, stdout=f)
     ecgan("generate", CHECKPOINT, "--n", "16", "--out", "generate.pgm")
     ecgan("generate", CONDITIONAL_CHECKPOINT, "--n", "16", "--class", "1", "--out", "generate_class1.pgm")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):

@@ -102,10 +102,6 @@ class Checkpoint:
     def components(self):
         return self.header["components"]
 
-    @property
-    def meta(self):
-        return self.header["meta"]
-
     def roles(self):
         return {key: info["spec"]["role"] for key, info in self.components.items()}
 

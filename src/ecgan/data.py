@@ -180,8 +180,15 @@ def write_idx(images_path, labels_path, images, labels):
 def _resize_nearest(img, size):
     """img [H,W] or [H,W,3] -> size x size by nearest neighbor."""
     h, w = img.shape[:2]
-    rows = np.minimum((np.arange(size) + 0.5) * h / size, h - 1).astype(np.int64)
-    cols = np.minimum((np.arange(size) + 0.5) * w / size, w - 1).astype(np.int64)
+    # numpy refuses an array past its index range; `np.arange` would return
+    # an empty one for a size near 2**63. A size below 1 gives empty images,
+    # which `Dataset` refuses.
+    try:
+        steps = np.indices((max(size, 0),))[0] + 0.5
+    except ValueError as e:
+        raise DataError(f"size {size} is too large ({e})") from None
+    rows = np.minimum(steps * h / size, h - 1).astype(np.int64)
+    cols = np.minimum(steps * w / size, w - 1).astype(np.int64)
     return img[rows][:, cols]
 
 
@@ -316,7 +323,10 @@ def synth_shapes(n_per_class, num_classes, size, noise_sigma=NOISE_SIGMA, seed=0
     coords = (np.arange(size) + 0.5) / size * 2.0 - 1.0
     ys, xs = np.meshgrid(coords, coords, indexing="ij")
 
-    images = np.empty((n_per_class * num_classes, 1, size, size), dtype=np.float32)
+    try:  # numpy refuses an array past its index range
+        images = np.empty((n_per_class * num_classes, 1, size, size), dtype=np.float32)
+    except ValueError as e:
+        raise SpecError(f"n_per_class {n_per_class} is too large ({e})") from None
     labels = np.empty(n_per_class * num_classes, dtype=np.int64)
     i = 0
     for k in range(num_classes):

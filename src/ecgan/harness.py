@@ -323,9 +323,15 @@ def cmd_generate(ckpt_path, n, out_path, class_idx=None, seed=0):
     if class_idx is not None:
         if not spec.conditional:
             raise ContractError("--class given but the checkpointed generator is unconditional")
-        lv = conditional_latent(np.full(n, class_idx, dtype=np.int64), spec.num_classes, rng)
-    else:
-        lv = draw_latent(n, spec.num_classes, spec.conditional, rng)
+        if not 0 <= class_idx < spec.num_classes:
+            raise ContractError(f"--class must be in [0,{spec.num_classes}), got {class_idx}")
+    try:  # numpy refuses an array past its index range
+        if class_idx is not None:
+            lv = conditional_latent(np.full(n, class_idx, dtype=np.int64), spec.num_classes, rng)
+        else:
+            lv = draw_latent(n, spec.num_classes, spec.conditional, rng)
+    except ValueError as e:
+        raise ContractError(f"--n {n} is too large ({e})") from None
     with no_grad():
         images = gen.forward(lv.values)
     pgm.write_grid(out_path, denormalize(images.data))

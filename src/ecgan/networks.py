@@ -95,8 +95,10 @@ def encode_class(labels, num_classes):
 
 
 def balanced_labels(n, num_classes):
-    """n labels cycling 0..K-1, as close to perfectly balanced as n allows."""
-    return np.arange(n, dtype=np.int64) % num_classes
+    """n labels cycling 0..K-1, as close to perfectly balanced as n allows.
+    Numpy refuses an n past its index range; `np.arange` would return an
+    empty array for an n near 2**63."""
+    return np.indices((n,), dtype=np.int64)[0] % num_classes
 
 
 @dataclass
@@ -133,8 +135,9 @@ def draw_latent(n, num_classes, conditional, rng):
 
 
 class Network:
-    """Base: a named, ordered parameter registry plus a train/eval mode.
-    A subclass makes its parameters with `add_param`, each from `source`."""
+    """Base: a named, ordered parameter registry plus a train/eval mode,
+    "train" when built. A subclass makes its parameters with `add_param`,
+    each from `source`."""
 
     role = None
 
@@ -154,7 +157,10 @@ class Network:
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
         if isinstance(self._source, Rng):
-            array = self._source.normal(shape, loc=loc, scale=std) if std else np.full(shape, loc)
+            try:  # numpy refuses an array past its index range
+                array = self._source.normal(shape, loc=loc, scale=std) if std else np.full(shape, loc)
+            except ValueError as e:
+                raise SpecError(f"parameter {name!r} of shape {tuple(shape)} is too large ({e})") from None
         elif name not in self._source:
             raise ContractError(f"no saved parameter {name!r}")
         else:
@@ -171,10 +177,6 @@ class Network:
 
     def trainable_parameters(self):
         return [(n, t) for n, t in self._params.items() if t.requires_grad]
-
-    def train(self):
-        self.mode = "train"
-        return self
 
     def eval(self):
         self.mode = "eval"
@@ -307,8 +309,6 @@ class Generator(Network):
         self.final = _Conv(self, "final", cin, spec.channels, 4, 2, 1, std=DCGAN_STD, bias=True, transposed=True)
 
     def forward(self, z, update_stats=True):
-        if isinstance(z, LatentVector):
-            z = z.values
         if z.ndim != 2 or z.shape[1] != LATENT_DIM:
             raise ShapeError(f"generator expects [N,{LATENT_DIM}] latents, got {z.shape}")
         h = reshape(self.proj(z), (z.shape[0], self.w0, 4, 4))

@@ -158,19 +158,8 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self):
         return float(self.data.item())
-
-    def __repr__(self):
-        return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
 
 def _attach(out, op, inputs, backward_fn):
@@ -266,16 +255,6 @@ def scale(a, c):
         return (g * c,)
 
     return _attach(out, "scale", (a,), back)
-
-
-def sum_all(a):
-    """Sum of every element, as a scalar tensor."""
-    out = Tensor(a.data.sum())
-
-    def back(g):
-        return (np.broadcast_to(g, a.shape).astype(a.data.dtype),)
-
-    return _attach(out, "sum", (a,), back)
 
 
 def reshape(a, shape):
@@ -461,15 +440,6 @@ def matmul(a, b):
     return _attach(out, "matmul", (a, b), back)
 
 
-def _pad2d(a, pad):
-    """Zero-pad the last two axes of [N,C,H,W] by `pad` on each side; equals
-    `np.pad` and costs about a third of it at the sizes used here."""
-    n, c, h, w = a.shape
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=a.dtype)
-    out[:, :, pad : pad + h, pad : pad + w] = a
-    return out
-
-
 def _im2col(xp, kh, kw, stride, hout, wout):
     """(N,C,Hp,Wp) -> (N, C*kh*kw, hout*wout) patch matrix (reshape is a view)."""
     n, c = xp.shape[:2]
@@ -525,9 +495,9 @@ def _zero_wrapped(cols, wrapped, hout, wout):
 
 
 def _flat_im2col(x, kh, kw, stride, pad, hout, wout):
-    """`_im2col(_pad2d(x, pad), ...)`, bit for bit, for an [N,C,H,W] input of
-    exactly `stride` times the output per axis, copied in contiguous runs
-    out of flat phase planes (see `_conv`)."""
+    """`_im2col` of `x` zero-padded by `pad`, bit for bit, for an [N,C,H,W]
+    input of exactly `stride` times the output per axis, copied in
+    contiguous runs out of flat phase planes (see `_conv`)."""
     n, c = x.shape[:2]
     hw = hout * wout
     margin, phases, wrapped = _flat_plan(kh, kw, stride, pad, wout)
@@ -597,13 +567,13 @@ def _conv(op, x, w, bias, stride, pad):
     of hs*ws per plane, whose rows shifted out of the image land in the
     margin. A column shift qj != 0 wraps into the next or previous row
     instead; those entries, the last qj output columns (qj > 0) or the first
-    -qj (qj < 0), are zeroed after the copy. The patches equal
-    `_im2col(_pad2d(...))` bit for bit. At stride 1 `up` scatters the same
+    -qj (qj < 0), are zeroed after the copy. The patches equal `_im2col`
+    of the padded image bit for bit. At stride 1 `up` scatters the same
     way: it zeroes the wrapped entries of the fresh GEMM output, adds each
     tap's run into a flat buffer with margins in (i, j) order, and slices
     the margins away, so each pixel sums the same terms in the same order
     plus exact +0.0s onto a +0.0 start. The 1x1 projections, the heads and
-    other shapes take `_pad2d` and `_im2col`, and every stride-2 `up` takes
+    other shapes take `np.pad` and `_im2col`, and every stride-2 `up` takes
     `_col2im`, which measured faster than a phase split there."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"{op}() needs 4-d input and kernel, got {x.shape}, {w.shape}")
@@ -628,7 +598,8 @@ def _conv(op, x, w, bias, stride, pad):
         if flat:
             patches = _flat_im2col(big_img, kh, kw, stride, pad, hs, ws)
         else:
-            patches = _im2col(_pad2d(big_img, pad) if pad else big_img, kh, kw, stride, hs, ws)
+            padded = np.pad(big_img, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else big_img
+            patches = _im2col(padded, kh, kw, stride, hs, ws)
         return np.matmul(w2, patches), patches
 
     def up(small3):

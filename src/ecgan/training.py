@@ -418,10 +418,11 @@ _GAN_STEPS = (discriminator_step, generator_step, detached_fakes)
 
 def half_keys(variant, hp):
     """The keys of the GAN half (None without one) and of the classifier half
-    of a `variant` run with `hp`. A key starts with the half's kind and holds
-    what the half reads: its networks, its HyperParams fields and, for a
-    classifier half that reads fakes, its GAN half's key. Halves with equal
-    keys on the same data train the same bytes.
+    of a `variant` run with `hp`. A key is (own, fakes), what the half reads:
+    `own` is its kind, its networks and its HyperParams fields, and `fakes`
+    is None for a half that reads no fakes, else its GAN half's key, lambda
+    and threshold. Halves with equal keys on the same data train the same
+    bytes, and classifier halves with equal `own` are twins (`train_job`).
 
     The classifier half of an ecgan run at lambda = 0 reads no fakes, so it
     is a baseline run's classifier half.
@@ -430,15 +431,13 @@ def half_keys(variant, hp):
         raise SpecError(f"unknown variant {variant!r}")
     classifier, gan_part = _VARIANTS[variant]
 
-    def key(part, *extra):
-        return (part.kind, part.nets, *extra, tuple(getattr(hp, name) for name in part.reads))
+    def own(part):
+        return part.kind, part.nets, tuple(getattr(hp, name) for name in part.reads)
 
     if gan_part is None:
-        return None, key(classifier)
-    gan = key(gan_part)
-    if hp.lam == 0:
-        return gan, key(classifier)
-    return gan, key(classifier, gan, hp.lam, hp.threshold)
+        return None, (own(classifier), None)
+    gan = (own(gan_part), None)
+    return gan, (own(classifier), None if hp.lam == 0 else (gan, hp.lam, hp.threshold))
 
 
 # What a half costs, by kind: the residual classifier costs about twice the
@@ -471,7 +470,7 @@ def plan_jobs(runs):
                     jobs.append(job := ([], set()))
                 job[0].append(i)
                 job[1].update({gan, classifier} - {None})
-    jobs.sort(key=lambda job: (-sum(_HALF_COST[key[0]] for _, key in job[1]), min(job[0])))
+    jobs.sort(key=lambda job: (-sum(_HALF_COST[own[0]] for _, (own, _) in job[1]), min(job[0])))
     return [sorted(indices) for indices, _ in jobs]
 
 
@@ -529,7 +528,7 @@ class _Run:
 
     def __init__(self, classifier, gan, key, hp):
         self.classifier, self.gan, self.key, self.hp = classifier, gan, key, hp
-        self.reads_fakes = gan is not None and hp.lam > 0
+        self.reads_fakes = key[1] is not None
         self.error = None
         self.history = []
 
@@ -626,8 +625,8 @@ def train_job(dataset, runs, eval_dataset=None, on_epoch=None):
     minibatch the job's GAN half, if any, makes one item, and every
     classifier half that reads fakes takes them from it.
 
-    Classifier halves whose keys agree but for the fakes they read (the GAN
-    key, lambda and threshold) are twins: until a step keeps a fake, each
+    Classifier halves whose keys agree but for the fakes they read are
+    twins (see `half_keys`): until a step keeps a fake, each
     makes the supervised update. Twins train as one half until the first
     step whose updates differ, where those that differ split off from a
     copy of the state before it (see `_twin_step`). Each half is evaluated
@@ -658,7 +657,7 @@ def train_job(dataset, runs, eval_dataset=None, on_epoch=None):
     members = []
     for (variant, hp), (gan_key, classifier_key) in zip(runs, keys):
         classifier, gan_part = _VARIANTS[variant]
-        twins = classifier_key[:2] + classifier_key[-1:]  # the key without the fakes it reads
+        twins, _ = classifier_key
         if gan_key is not None and gan_key not in halves:
             halves[gan_key] = _Half(gan_part, dataset, hp)
         if twins not in halves:

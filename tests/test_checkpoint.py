@@ -54,7 +54,7 @@ def test_round_trip_bit_exact(tmp_path):
     path = tmp_path / "run.ckpt"
     C.save_checkpoint(path, nets, meta={"epoch": 3})
     ck = C.load_checkpoint(path)
-    assert ck.meta == {"epoch": 3}
+    assert ck.header["meta"] == {"epoch": 3}
     for key, net in nets.items():
         rebuilt = ck.build(key)
         assert rebuilt.spec == net.spec
@@ -361,12 +361,12 @@ ODD_INTS = st.sampled_from([-(2**63), -1, 0, 1, 2, 3, 8, 16, 64, 2**31, 2**63, 1
 
 @st.composite
 def header_edits(draw):
-    """One to three edits of a saved generator + classifier header, each
+    """Up to three edits of a saved generator + classifier header, each
     (component, field, value): a spec int set huge, zero or negative, the
     spec's role or `conditional`, the component's mode, or the shape of one
     of its records (the field is then the record's index)."""
     edits = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         key = draw(st.sampled_from(["classifier", "generator"]))
         field = draw(st.sampled_from([*SPEC_INTS, "role", "conditional", "mode", "record"]))
         if field == "role":
@@ -404,11 +404,11 @@ def saved_bytes(tmp_path_factory):
     return path.read_bytes()
 
 
-def assert_eval_and_generate_outcomes(path):
+def assert_eval_and_generate_outcomes(path, generate_flags=("--n", "2")):
     """`eval` and `generate` of the checkpoint at `path` each exit 0, 1 or
     2, and print nothing on stderr or, when nonzero, one `error:` line."""
     for argv in (["eval", str(path), "--data", EVAL_DATA],
-                 ["generate", str(path), "--n", "2", "--out", str(path.parent / "g.pgm")]):
+                 ["generate", str(path), *generate_flags, "--out", str(path.parent / "g.pgm")]):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
@@ -416,13 +416,33 @@ def assert_eval_and_generate_outcomes(path):
         assert err.getvalue() == "" if code == 0 else one_error_line(err.getvalue()), (argv[0], err.getvalue())
 
 
-@given(header_edits())
-def test_mutated_header_gives_an_exit_code_and_at_most_one_error_line(saved_bytes, edits):
+# `generate`'s --class and --seed: absent, in range, out of range, or past
+# what a C long or numpy holds. --n stays small: a run allocates it.
+GENERATE_COUNTS = [-1, 0, 1, 2, 3]
+GENERATE_CLASSES = [None, -1, 0, 1, 2, 3, 2**31, 2**63, 2**64, 10**23]
+GENERATE_SEEDS = [None, -1, 0, 7, 2**53, 2**53 + 1, 2**63, 10**23]
+
+
+@st.composite
+def generate_flags(draw):
+    """`generate`'s --n, --class and --seed flags, the last two optional."""
+    flags = ["--n", str(draw(st.sampled_from(GENERATE_COUNTS)))]
+    for flag, values in (("--class", GENERATE_CLASSES), ("--seed", GENERATE_SEEDS)):
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            flags += [flag, str(value)]
+    return flags
+
+
+@given(header_edits(), st.booleans(), generate_flags())
+def test_mutated_header_gives_an_exit_code_and_at_most_one_error_line(saved_bytes, edits, conditional, flags):
+    # A conditional generator takes --class; the saved one is unconditional.
+    edits = [("generator", "conditional", True)] * conditional + edits
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutated.ckpt"
         path.write_bytes(saved_bytes)
         rewrite_header(path, lambda h: _apply(h, edits))
-        assert_eval_and_generate_outcomes(path)
+        assert_eval_and_generate_outcomes(path, flags)
 
 
 def record_spans(buf):

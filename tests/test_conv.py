@@ -13,7 +13,7 @@ import pytest
 
 from ecgan import tensor as T
 from ecgan.errors import ContractError, ShapeError
-from gradcheck import check_grads, rel_err
+from gradcheck import check_grads, rel_err, sum_all
 
 
 @pytest.fixture(autouse=True)
@@ -98,7 +98,7 @@ def test_conv2d_fd_grads(rng, stride, pad):
     w = t(rng.normal(size=(3, 2, 3, 3)))
     b = t(rng.normal(size=(3,)))
     check_grads(
-        lambda: T.sum_all(T.tanh(T.conv2d(x, w, b, stride=stride, pad=pad))),
+        lambda: sum_all(T.tanh(T.conv2d(x, w, b, stride=stride, pad=pad))),
         [x, w, b],
         eps=1e-5,
         tol=1e-6,
@@ -154,15 +154,6 @@ def test_conv_input_gradients_are_each_others_forward(rng, stride, pad, k):
     np.testing.assert_array_equal(gy, T.conv2d(f32(g_t), w, stride=stride, pad=pad).data)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("pad", [0, 1, 2])
-def test_pad2d_equals_np_pad(rng, pad, dtype):
-    x = rng.normal(size=(2, 3, 5, 4)).astype(dtype)
-    got = T._pad2d(x, pad)
-    assert got.dtype == dtype
-    np.testing.assert_array_equal(got, np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))))
-
-
 def test_conv_transpose_output_shape_formula():
     for h, k, s, p in [(4, 4, 2, 1), (8, 4, 2, 1), (5, 3, 1, 1), (4, 4, 4, 0)]:
         x = t(np.zeros((1, 2, h, h)), grad=False)
@@ -184,7 +175,7 @@ def test_conv_transpose_fd_grads(rng):
     w = t(rng.normal(size=(4, 3, 4, 4)))
     b = t(rng.normal(size=(3,)))
     check_grads(
-        lambda: T.sum_all(T.tanh(T.conv_transpose2d(x, w, b, stride=2, pad=1))),
+        lambda: sum_all(T.tanh(T.conv_transpose2d(x, w, b, stride=2, pad=1))),
         [x, w, b],
         eps=1e-5,
         tol=1e-6,
@@ -233,9 +224,9 @@ def network_conv_shapes():
                 for cond in (False, True) if role in ("generator", "discriminator") else (False,):
                     spec = N.NetworkSpec(role=role, image_size=size, channels=channels, num_classes=3,
                                          base_width=8, conditional=cond)
-                    net = N.build_network(spec, T.Rng(0, "init")).train()
+                    net = N.build_network(spec, T.Rng(0, "init"))
                     if role == "generator":
-                        net(N.draw_latent(2, 3, cond, T.Rng(1, "z")))
+                        net(N.draw_latent(2, 3, cond, T.Rng(1, "z")).values)
                     else:
                         x = T.Tensor(np.zeros((2, channels, size, size), np.float32))
                         net(x, labels=np.zeros(2, np.int64)) if cond else net(x)
@@ -258,6 +249,11 @@ def bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def pad2d(x, pad):
+    """Zero-pad the last two axes of [N,C,H,W] by `pad` on each side."""
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+
+
 def test_every_network_conv_shape_is_seen(network_conv_shapes):
     ops = {(op, kernel[2:], stride) for op, _, kernel, stride, _ in network_conv_shapes}
     assert ops == {
@@ -268,7 +264,7 @@ def test_every_network_conv_shape_is_seen(network_conv_shapes):
 
 @pytest.mark.parametrize("n", [1, 4, 16])
 def test_flat_patches_equal_im2col_on_every_network_shape(rng, network_conv_shapes, n):
-    # The gather must equal `_im2col(_pad2d(x))` bit for bit wherever `_conv`
+    # The gather must equal `_im2col` of the padded `x` bit for bit wherever `_conv`
     # takes it, and the stride-1 scatter `_col2im` plus the crop, so that
     # every GEMM reads the same operands. Float32, as the networks run.
     flat = 0
@@ -279,7 +275,7 @@ def test_flat_patches_equal_im2col_on_every_network_shape(rng, network_conv_shap
             continue
         flat += 1
         x = rng.normal(size=(n, big, hb, wb)).astype(np.float32)
-        want = T._im2col(T._pad2d(x, pad), kh, kw, stride, hs, ws)
+        want = T._im2col(pad2d(x, pad), kh, kw, stride, hs, ws)
         got = T._flat_im2col(x, kh, kw, stride, pad, hs, ws)
         assert got.shape == want.shape and got.dtype == want.dtype and got.flags.c_contiguous
         assert bits(got) == bits(want), (op, in_shape, kernel)
@@ -297,7 +293,7 @@ def test_flat_patches_zero_the_entries_that_wrap_a_row(rng, monkeypatch, stride,
     # An image of ones: a tap one column left of output column 0 reads the
     # zero padding, but its flat run reads the last pixel of the row above.
     x = np.ones((2, 3, 4 * stride, 4 * stride))
-    want = T._im2col(T._pad2d(x, 1), k, k, stride, 4, 4)
+    want = T._im2col(pad2d(x, 1), k, k, stride, 4, 4)
     assert bits(T._flat_im2col(x, k, k, stride, 1, 4, 4)) == bits(want)
     cols = rng.normal(size=(2, 3 * k * k, 16))
     scattered = T._flat_col2im(cols.copy(), 2, 3, k, k, 1, 4, 4) if stride == 1 else None
@@ -325,7 +321,7 @@ def test_other_shapes_fall_back_to_im2col(rng, monkeypatch, op, h, k, stride, pa
     out = getattr(T, op)(x, w, stride=stride, pad=pad)
     if op == "conv2d":
         assert np.abs(out.data - conv_reference(x.data, w.data, None, stride, pad)).max() < 1e-12
-    T.backward(T.sum_all(out))
+    T.backward(sum_all(out))
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 
@@ -333,7 +329,7 @@ def test_empty_batch_conv_has_empty_output_and_gradients(rng):
     x = t(np.zeros((0, 3, 8, 8)))
     w = t(rng.normal(size=(4, 3, 3, 3)))
     out = T.conv2d(x, w, pad=1)
-    T.backward(T.sum_all(out))
+    T.backward(sum_all(out))
     assert out.shape == (0, 4, 8, 8) and x.grad.shape == x.shape
     assert np.array_equal(w.grad, np.zeros(w.shape))
 
@@ -344,7 +340,7 @@ def test_stride_two_scatter_keeps_col2im(rng, monkeypatch):
     monkeypatch.setattr(T, "_flat_col2im", _no_flat)
     x = t(rng.normal(size=(2, 3, 8, 8)))
     out = T.conv2d(x, t(rng.normal(size=(4, 3, 4, 4))), stride=2, pad=1)
-    T.backward(T.sum_all(out))
+    T.backward(sum_all(out))
     assert out.shape == (2, 4, 4, 4) and x.grad.shape == x.shape
 
 
@@ -423,7 +419,7 @@ def test_batchnorm_train_fd_grads(rng):
     beta = t(rng.normal(size=3))
     rmean, rvar = T.Tensor(np.zeros(3)), T.Tensor(np.ones(3))
     check_grads(
-        lambda: T.sum_all(
+        lambda: sum_all(
             T.tanh(T.batchnorm2d(x, gamma, beta, rmean, rvar, training=True, update_running=False))
         ),
         [x, gamma, beta],
@@ -439,7 +435,7 @@ def test_batchnorm_eval_fd_grads(rng):
     rmean = T.Tensor(rng.normal(size=3))
     rvar = T.Tensor(rng.uniform(0.5, 2.0, 3))
     check_grads(
-        lambda: T.sum_all(T.tanh(T.batchnorm2d(x, gamma, beta, rmean, rvar, training=False))),
+        lambda: sum_all(T.tanh(T.batchnorm2d(x, gamma, beta, rmean, rvar, training=False))),
         [x, gamma, beta],
         eps=1e-5,
         tol=1e-6,

@@ -1302,8 +1302,8 @@ tracer = layers.Tracer()
 layers.install(tracer)
 tracer.op = 0
 x = T.Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
-w = T.Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
-T.backward(T.sum_all(T.conv2d(x, w)))
+w = T.Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
+T.backward(T.conv2d(x, w))
 tracer.op = 1
 harness.parse_data_spec("synth:n_per_class=1,classes=2,size=16")
 tracer.op = 2

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ecgan import tensor as T
 from ecgan.errors import ContractError, InvalidLabelError, ShapeError
-from gradcheck import check_grads, rel_err
+from gradcheck import check_grads, rel_err, sum_all
 
 mpmath.mp.dps = 50
 
@@ -48,27 +48,27 @@ def test_backward_requires_scalar():
 
 def test_grad_accumulates_across_calls():
     x = t([1.0, 2.0, 3.0])
-    T.backward(T.sum_all(x))
-    T.backward(T.sum_all(x))
+    T.backward(sum_all(x))
+    T.backward(sum_all(x))
     assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
 def test_diamond_graph_sums_both_paths():
     x = t([3.0])
     y = T.add(x, x)  # dy/dx = 2
-    T.backward(T.sum_all(y))
+    T.backward(sum_all(y))
     assert np.array_equal(x.grad, np.array([2.0]))
 
 
 def test_shared_subexpression_fans_out():
     x = t([[1.0, -2.0], [0.5, 4.0]])
     h = T.relu(x)
-    loss = T.add(T.sum_all(h), T.sum_all(T.tanh(h)))
+    loss = T.add(sum_all(h), sum_all(T.tanh(h)))
     T.backward(loss)
     r = np.maximum(x.data, 0)
     np.testing.assert_allclose(x.grad, (x.data > 0) * (1.0 + (1.0 - np.tanh(r) ** 2)), atol=1e-15)
     assert h.grad is None  # only leaves get gradients
-    check_grads(lambda: T.add(T.sum_all(T.relu(x)), T.sum_all(T.tanh(T.relu(x)))), [x], eps=1e-6, tol=1e-7)
+    check_grads(lambda: T.add(sum_all(T.relu(x)), sum_all(T.tanh(T.relu(x)))), [x], eps=1e-6, tol=1e-7)
 
 
 def test_no_grad_suppresses_graph():
@@ -94,7 +94,7 @@ def test_detach_breaks_history():
 def test_precision_context_switches_and_restores():
     assert T.default_dtype() is np.float64  # inside the autouse fixture
     with T.precision(np.float32):
-        assert T.Tensor(np.zeros(2, dtype=np.int32)).dtype == np.float32
+        assert T.Tensor(np.zeros(2, dtype=np.int32)).data.dtype == np.float32
     assert T.default_dtype() is np.float64
     with pytest.raises(ValueError, match="float32 or float64"):
         with T.precision(np.float16):
@@ -103,7 +103,7 @@ def test_precision_context_switches_and_restores():
 
 
 def test_non_float_input_cast_to_default():
-    assert T.Tensor([1, 2, 3]).dtype == np.float64
+    assert T.Tensor([1, 2, 3]).data.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +113,14 @@ def test_non_float_input_cast_to_default():
 def test_add_shapes_and_grads():
     a, b = t([[1.0, 2.0], [3.0, 4.0]]), t([[10.0, 20.0], [30.0, 40.0]])
     assert np.array_equal(T.add(a, b).data, a.data + b.data)
-    check_grads(lambda: T.sum_all(T.tanh(T.add(a, b))), [a, b], eps=1e-6, tol=1e-7)
+    check_grads(lambda: sum_all(T.tanh(T.add(a, b))), [a, b], eps=1e-6, tol=1e-7)
 
 
 def test_add_bias_broadcast():
     a, b = t(np.ones((3, 2))), t([1.0, -1.0])
     out = T.add(a, b)
     assert np.array_equal(out.data, np.array([[2.0, 0.0]] * 3))
-    T.backward(T.sum_all(out))
+    T.backward(sum_all(out))
     assert np.array_equal(b.grad, np.array([3.0, 3.0]))
 
 
@@ -134,14 +134,14 @@ def test_scale_and_operators():
     assert np.array_equal(T.scale(a, 2.0).data, [2.0, -4.0])
     with pytest.raises(TypeError):  # `scale` and `add` are the only spellings
         a * 2.0
-    check_grads(lambda: T.sum_all(T.tanh(T.scale(a, -1.5))), [a], eps=1e-6, tol=1e-7)
+    check_grads(lambda: sum_all(T.tanh(T.scale(a, -1.5))), [a], eps=1e-6, tol=1e-7)
 
 
 def test_reshape_round_trip():
     a = t(np.arange(12.0).reshape(3, 4))
     out = T.reshape(a, (2, 6))
     assert out.shape == (2, 6)
-    T.backward(T.sum_all(out))
+    T.backward(sum_all(out))
     assert a.grad.shape == (3, 4)
 
 
@@ -149,7 +149,7 @@ def test_concat_channels_splits_grad():
     a, b = t(np.ones((2, 3, 4, 4))), t(np.full((2, 1, 4, 4), 2.0))
     out = T.concat_channels(a, b)
     assert out.shape == (2, 4, 4, 4)
-    T.backward(T.sum_all(out))
+    T.backward(sum_all(out))
     assert a.grad.shape == (2, 3, 4, 4) and b.grad.shape == (2, 1, 4, 4)
     with pytest.raises(ShapeError):
         T.concat_channels(a, t(np.ones((2, 1, 5, 5))))
@@ -159,7 +159,7 @@ def test_take_rows_scatter_adds_duplicates():
     a = t(np.arange(6.0).reshape(3, 2))
     out = T.take_rows(a, [0, 0, 2])
     assert np.array_equal(out.data, a.data[[0, 0, 2]])
-    T.backward(T.sum_all(out))
+    T.backward(sum_all(out))
     assert np.array_equal(a.grad, np.array([[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]))
 
 
@@ -167,13 +167,13 @@ def test_spatial_mean_value_and_grad():
     a = t(np.arange(16.0).reshape(1, 1, 4, 4))
     out = T.spatial_mean(a)
     assert out.shape == (1, 1) and float(out.data[0, 0]) == 7.5
-    check_grads(lambda: T.sum_all(T.tanh(T.spatial_mean(a))), [a], eps=1e-6, tol=1e-7)
+    check_grads(lambda: sum_all(T.tanh(T.spatial_mean(a))), [a], eps=1e-6, tol=1e-7)
 
 
 def test_matmul_value_and_grads(rng):
     a, b = t(rng.normal(size=(3, 4))), t(rng.normal(size=(4, 2)))
     assert np.allclose(T.matmul(a, b).data, a.data @ b.data)
-    check_grads(lambda: T.sum_all(T.tanh(T.matmul(a, b))), [a, b], eps=1e-6, tol=1e-7)
+    check_grads(lambda: sum_all(T.tanh(T.matmul(a, b))), [a, b], eps=1e-6, tol=1e-7)
     with pytest.raises(ShapeError):
         T.matmul(a, t(np.ones((3, 2))))
 
@@ -187,14 +187,14 @@ def test_relu_leaky_values(rng):
     assert np.array_equal(T.relu(x).data, [[0.0, 0.0, 3.0]])
     assert np.allclose(T.leaky_relu(x).data, [[-0.4, 0.0, 3.0]])
     a = t(rng.normal(size=(4, 5)) + 0.05)  # keep clear of the kink
-    check_grads(lambda: T.sum_all(T.tanh(T.relu(a))), [a], eps=1e-6, tol=1e-6)
-    check_grads(lambda: T.sum_all(T.tanh(T.leaky_relu(a))), [a], eps=1e-6, tol=1e-6)
+    check_grads(lambda: sum_all(T.tanh(T.relu(a))), [a], eps=1e-6, tol=1e-6)
+    check_grads(lambda: sum_all(T.tanh(T.leaky_relu(a))), [a], eps=1e-6, tol=1e-6)
 
 
 def test_tanh_sigmoid_grads(rng):
     a = t(rng.normal(size=(3, 3)))
-    check_grads(lambda: T.sum_all(T.tanh(a)), [a], eps=1e-6, tol=1e-7)
-    check_grads(lambda: T.sum_all(T.sigmoid(a)), [a], eps=1e-6, tol=1e-7)
+    check_grads(lambda: sum_all(T.tanh(a)), [a], eps=1e-6, tol=1e-7)
+    check_grads(lambda: sum_all(T.sigmoid(a)), [a], eps=1e-6, tol=1e-7)
 
 
 def test_sigmoid_saturated_tails():
@@ -226,7 +226,7 @@ def test_softmax_rows_sum_to_one(seed):
 def test_softmax_grads(rng):
     a = t(rng.normal(size=(4, 5)))
     w = rng.normal(size=(4, 5))
-    check_grads(lambda: T.sum_all(T.tanh(T.softmax(a))), [a], eps=1e-6, tol=1e-6)
+    check_grads(lambda: sum_all(T.tanh(T.softmax(a))), [a], eps=1e-6, tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
